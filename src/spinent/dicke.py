@@ -19,6 +19,7 @@ coefficient vector, never by materializing operator matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +31,36 @@ NORM_TOLERANCE = 1e-6
 # Hermitian expectations are computed as complex inner products; the imaginary
 # residue is asserted below this before being dropped.
 _IMAG_TOLERANCE = 1e-10
+
+
+def _check_norm(amplitudes: np.ndarray):
+    norm2 = float(np.sum(np.abs(amplitudes) ** 2))
+    # Negated so that a NaN norm is rejected too.
+    if not abs(norm2 - 1.0) <= NORM_TOLERANCE:
+        raise NormalizationError(
+            f"squared amplitude magnitudes sum to {norm2!r}, "
+            f"more than {NORM_TOLERANCE} away from 1")
+
+
+def _freeze_amplitudes(state, field: str, dimension: Callable[[int], int]):
+    """Validate n_atoms and the amplitude vector, storing both read-only.
+
+    Serves DickeState and FullState; dimension maps N to the vector length.
+    """
+    n = state.n_atoms
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise LengthMismatchError(
+            f"n_atoms must be a positive integer, got {n!r}")
+    arr = np.array(getattr(state, field), dtype=complex)
+    expected = dimension(int(n))
+    if arr.shape != (expected,):
+        raise LengthMismatchError(
+            f"expected {expected} {field} for n_atoms={n}, "
+            f"got shape {arr.shape}")
+    _check_norm(arr)
+    arr.setflags(write=False)
+    object.__setattr__(state, field, arr)
+    object.__setattr__(state, "n_atoms", int(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,22 +81,7 @@ class DickeState:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n_atoms, (int, np.integer)) or self.n_atoms < 1:
-            raise LengthMismatchError(
-                f"n_atoms must be a positive integer, got {self.n_atoms!r}")
-        arr = np.array(self.coefficients, dtype=complex)
-        if arr.shape != (self.n_atoms + 1,):
-            raise LengthMismatchError(
-                f"expected {self.n_atoms + 1} coefficients for n_atoms="
-                f"{self.n_atoms}, got shape {arr.shape}")
-        norm2 = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm2 - 1.0) > NORM_TOLERANCE:
-            raise NormalizationError(
-                f"squared coefficient magnitudes sum to {norm2!r}, "
-                f"more than {NORM_TOLERANCE} away from 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
-        object.__setattr__(self, "n_atoms", int(self.n_atoms))
+        _freeze_amplitudes(self, "coefficients", lambda n: n + 1)
 
     @property
     def j(self) -> float:
@@ -75,7 +91,7 @@ class DickeState:
     @property
     def m_values(self) -> np.ndarray:
         """m for each coefficient index: j, j-1, ..., -j."""
-        return self.j - np.arange(self.n_atoms + 1)
+        return _m_of(self.n_atoms)
 
     def renormalized(self) -> "DickeState":
         """Return a copy rescaled to unit norm.
@@ -125,6 +141,7 @@ class PairCorrelators:
 
 
 def _m_of(n_atoms: int) -> np.ndarray:
+    # The one formula for m; DickeState.m_values returns it too.
     j = n_atoms / 2.0
     return j - np.arange(n_atoms + 1)
 
@@ -174,10 +191,13 @@ def apply_jminus(state: DickeState) -> np.ndarray:
     return _ladder_down(state.n_atoms, state.coefficients)
 
 
-def _real_expectation(coeffs: np.ndarray, acted: np.ndarray) -> float:
-    val = complex(np.vdot(coeffs, acted))
-    # Hermitian expectation: anything beyond a rounding-level imaginary part
-    # signals a ladder coding error.
+def _real_expectation(bra: np.ndarray, ket: np.ndarray) -> float:
+    """Real part of <bra|ket>, a Hermitian expectation (also in the oracle).
+
+    Anything beyond a rounding-level imaginary part signals a coding error
+    in the operator actions.
+    """
+    val = complex(np.vdot(bra, ket))
     assert abs(val.imag) < _IMAG_TOLERANCE, (
         f"Hermitian expectation has imaginary residue {val.imag:.3e}")
     return val.real
@@ -191,10 +211,7 @@ def collective_moments(state: DickeState) -> CollectiveMoments:
     """
     c = state.coefficients
     n = state.n_atoms
-    norm2 = float(np.sum(np.abs(c) ** 2))
-    if abs(norm2 - 1.0) > NORM_TOLERANCE:
-        raise NormalizationError(
-            f"squared coefficient magnitudes sum to {norm2!r}")
+    _check_norm(c)
     xv = _x_apply(n, c)
     yv = _y_apply(n, c)
     zv = _z_apply(n, c)

@@ -80,18 +80,22 @@ def build_frame(spin: MeanSpin, epsilon: float = DEFAULT_EPSILON) -> Frame:
                  degenerate_phi=False)
 
 
+def _transverse_axes(frame: Frame) -> tuple[tuple[float, float, float],
+                                             tuple[float, float, float]]:
+    """Lab-frame x' and y' axes, the rows every primed-frame rotation uses."""
+    ct, st = frame.cos_theta, frame.sin_theta
+    cp, sp = frame.cos_phi, frame.sin_phi
+    return (ct * cp, ct * sp, -st), (-sp, cp, 0.0)
+
+
 def rotation_matrix(frame: Frame) -> np.ndarray:
     """Orthogonal 3x3 matrix taking lab-frame vectors to the primed frame.
 
     Rows are the primed axes x', y', z' expressed in lab coordinates.
     """
-    ct, st = frame.cos_theta, frame.sin_theta
-    cp, sp = frame.cos_phi, frame.sin_phi
-    return np.array([
-        [ct * cp, ct * sp, -st],
-        [-sp, cp, 0.0],
-        [st * cp, st * sp, ct],
-    ])
+    st, ct = frame.sin_theta, frame.cos_theta
+    z_axis = (st * frame.cos_phi, st * frame.sin_phi, ct)
+    return np.array([*_transverse_axes(frame), z_axis])
 
 
 def rotated_first_moments(moments: CollectiveMoments,

@@ -76,8 +76,11 @@ def parse_state(text: str) -> DickeState:
     except (TypeError, ValueError) as exc:
         raise SpinentError(
             "'coefficients' must be a list of [re, im] pairs") from exc
-    return custom_state(n, coeffs, renormalize=bool(
-        doc.get("renormalize", False)))
+    renormalize = doc.get("renormalize", False)
+    if not isinstance(renormalize, bool):
+        raise SpinentError(
+            f"'renormalize' must be true or false, got {renormalize!r}")
+    return custom_state(n, coeffs, renormalize=renormalize)
 
 
 def report_document(analysis: StateAnalysis) -> dict:

@@ -26,7 +26,8 @@ from enum import Enum
 from .dicke import DickeState, CollectiveMoments, collective_moments, \
     pairwise_correlators
 from .errors import DegenerateMeanSpinError, InsufficientAtomsError
-from .frame import DEFAULT_EPSILON, Frame, MeanSpin, build_frame, mean_spin
+from .frame import DEFAULT_EPSILON, Frame, MeanSpin, _transverse_axes, \
+    build_frame, mean_spin
 
 # Classification threshold on S; values at or below count as unentangled.
 DEFAULT_S_TOLERANCE = 1e-10
@@ -79,29 +80,26 @@ def _clamp_variance(value: float) -> float:
     return value
 
 
+def _quadratic_form(axis: tuple[float, float, float], xx: float, yy: float,
+                    zz: float, xy: float, xz: float, yz: float) -> float:
+    """axis . M . axis for the symmetric 3x3 matrix M with these entries."""
+    a, b, c = axis
+    return (a * a * xx + b * b * yy + c * c * zz
+            + 2.0 * (a * b * xy + a * c * xz + b * c * yz))
+
+
 def transverse_variances(moments: CollectiveMoments,
                          frame: Frame) -> tuple[float, float]:
     """Variances of J_x' and J_y' from lab-frame moments and the frame.
 
     The rotated first moments vanish, so the variances are the rotated
-    second moments, expanded over the nine lab-frame moments.
+    second moments: the x' and y' quadratic forms of the lab moment matrix.
     """
-    ct, st = frame.cos_theta, frame.sin_theta
-    cp, sp = frame.cos_phi, frame.sin_phi
-    ct2, st2 = ct * ct, st * st
-    cp2, sp2 = cp * cp, sp * sp
-    sin_2phi = 2.0 * sp * cp
-    sin_2theta = 2.0 * st * ct
-    var_xp = (moments.jx2 * ct2 * cp2
-              + moments.jy2 * ct2 * sp2
-              + moments.jz2 * st2
-              + 0.5 * moments.sym_xy * ct2 * sin_2phi
-              - 0.5 * moments.sym_xz * sin_2theta * cp
-              - 0.5 * moments.sym_yz * sin_2theta * sp)
-    var_yp = (moments.jx2 * sp2
-              + moments.jy2 * cp2
-              - 0.5 * moments.sym_xy * sin_2phi)
-    return _clamp_variance(var_xp), _clamp_variance(var_yp)
+    x_axis, y_axis = _transverse_axes(frame)
+    second = (moments.jx2, moments.jy2, moments.jz2, 0.5 * moments.sym_xy,
+              0.5 * moments.sym_xz, 0.5 * moments.sym_yz)
+    return (_clamp_variance(_quadratic_form(x_axis, *second)),
+            _clamp_variance(_quadratic_form(y_axis, *second)))
 
 
 def correlation_terms(var_xp: float, var_yp: float,
@@ -124,21 +122,12 @@ def correlation_terms_pairwise(state: DickeState,
     routes share no intermediate beyond the lab-frame moments.
     """
     g = pairwise_correlators(state)
-    ct, st = frame.cos_theta, frame.sin_theta
-    cp, sp = frame.cos_phi, frame.sin_phi
-    ct2, st2 = ct * ct, st * st
-    cp2, sp2 = cp * cp, sp * sp
-    sin_2phi = 2.0 * sp * cp
-    sin_2theta = 2.0 * st * ct
     pairs = state.n_atoms * (state.n_atoms - 1)
-    corr_x = pairs * (g.xx * ct2 * cp2
-                      + g.yy * ct2 * sp2
-                      + g.zz * st2
-                      + g.xy * ct2 * sin_2phi
-                      - g.xz * sin_2theta * cp
-                      - g.yz * sin_2theta * sp)
-    corr_y = pairs * (g.xx * sp2 + g.yy * cp2 - g.xy * sin_2phi)
-    return corr_x, corr_y
+    scaled = tuple(pairs * value
+                   for value in (g.xx, g.yy, g.zz, g.xy, g.xz, g.yz))
+    x_axis, y_axis = _transverse_axes(frame)
+    return (_quadratic_form(x_axis, *scaled),
+            _quadratic_form(y_axis, *scaled))
 
 
 def entanglement_parameter(corr_x: float, corr_y: float) -> float:
@@ -217,6 +206,30 @@ def classify(s_param: float | None, degenerate_frame: bool = False,
     return Classification.ENTANGLED
 
 
+def _assemble_report(n_atoms: int, variances: tuple[float, float] | None,
+                     magnitude: float, epsilon: float,
+                     s_tolerance: float) -> MetricsReport:
+    """Report from the transverse variances (None: degenerate frame).
+
+    analyze and the 2**N oracle share it, and nothing before the variances.
+    """
+    if variances is None:
+        values = (None,) * 9
+        classification = Classification.DEGENERATE_FRAME
+    else:
+        var_xp, var_yp = variances
+        corr_x, corr_y = correlation_terms(var_xp, var_yp, n_atoms)
+        s_param = entanglement_parameter(corr_x, corr_y)
+        q_x, q_y = squeezing_parameters(var_xp, var_yp, n_atoms)
+        xi_rx, xi_ry = spectroscopic_parameters(q_x, q_y, magnitude, n_atoms,
+                                                epsilon)
+        # In MetricsReport field order.
+        values = (var_xp, var_yp, corr_x, corr_y, s_param, q_x, q_y, xi_rx,
+                  xi_ry)
+        classification = classify(s_param, s_tolerance=s_tolerance)
+    return MetricsReport(n_atoms, *values, classification)
+
+
 def analyze(state: DickeState, epsilon: float = DEFAULT_EPSILON,
             s_tolerance: float = DEFAULT_S_TOLERANCE) -> StateAnalysis:
     """Full pipeline: moments, frame, variances, corr, S, Q, xi, class.
@@ -232,22 +245,10 @@ def analyze(state: DickeState, epsilon: float = DEFAULT_EPSILON,
     try:
         frame = build_frame(spin, epsilon)
     except DegenerateMeanSpinError:
-        report = MetricsReport(
-            n_atoms=state.n_atoms, var_xp=None, var_yp=None, corr_x=None,
-            corr_y=None, s_param=None, q_x=None, q_y=None, xi_rx=None,
-            xi_ry=None, classification=Classification.DEGENERATE_FRAME)
-        return StateAnalysis(moments=moments, mean_spin=spin, frame=None,
-                             report=report)
-    var_xp, var_yp = transverse_variances(moments, frame)
-    corr_x, corr_y = correlation_terms(var_xp, var_yp, state.n_atoms)
-    s_param = entanglement_parameter(corr_x, corr_y)
-    q_x, q_y = squeezing_parameters(var_xp, var_yp, state.n_atoms)
-    xi_rx, xi_ry = spectroscopic_parameters(q_x, q_y, spin.magnitude,
-                                            state.n_atoms, epsilon)
-    report = MetricsReport(
-        n_atoms=state.n_atoms, var_xp=var_xp, var_yp=var_yp, corr_x=corr_x,
-        corr_y=corr_y, s_param=s_param, q_x=q_x, q_y=q_y, xi_rx=xi_rx,
-        xi_ry=xi_ry,
-        classification=classify(s_param, s_tolerance=s_tolerance))
+        frame = variances = None
+    else:
+        variances = transverse_variances(moments, frame)
+    report = _assemble_report(state.n_atoms, variances, spin.magnitude,
+                              epsilon, s_tolerance)
     return StateAnalysis(moments=moments, mean_spin=spin, frame=frame,
                          report=report)

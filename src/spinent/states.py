@@ -10,7 +10,7 @@ import numpy as np
 
 from .dicke import DickeState
 from .errors import InvalidQuantumNumberError, LengthMismatchError, \
-    NormalizationError
+    NormalizationError, SpinentError
 
 _M_TOLERANCE = 1e-9
 
@@ -27,14 +27,15 @@ class CoherentSpec:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.n_atoms < 1:
+        if not isinstance(self.n_atoms, (int, np.integer)) \
+                or self.n_atoms < 1:
             raise LengthMismatchError(
-                f"n_atoms must be positive, got {self.n_atoms}")
+                f"n_atoms must be a positive integer, got {self.n_atoms!r}")
         if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(
+            raise SpinentError(
                 f"theta must lie in [0, pi], got {self.theta!r}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(
+            raise SpinentError(
                 f"phi must lie in [0, 2*pi), got {self.phi!r}")
 
 

@@ -84,6 +84,13 @@ class TestMakeState:
         assert code == 1
         assert "zebra" in err
 
+    def test_out_of_range_theta_exits_1(self, capsys):
+        code, _, err = run(["make-state", "coherent", "--n", "4",
+                            "--theta", "4"], capsys)
+        assert code == 1
+        assert err.startswith("spinent: error:")
+        assert "theta" in err
+
 
 class TestAnalyze:
     def make_file(self, tmp_path, coeffs, n=2):
@@ -150,6 +157,19 @@ class TestAnalyze:
         code, _, err = run(["analyze", path], capsys)
         assert code == 1
         assert "magnitudes sum" in err
+
+    def test_non_boolean_renormalize_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "loose.json"
+        path.write_text(dump_document({
+            "n": 2,
+            "coefficients": [[3.0, 0.0], [0.0, 0.0], [4.0, 0.0]],
+            "renormalize": "no",
+        }), encoding="utf-8")
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("spinent: error:")
+        assert "renormalize" in err
 
     def test_single_atom_exit_1(self, tmp_path, capsys):
         path = self.make_file(tmp_path, [1.0, 0.0], n=1)
@@ -252,6 +272,14 @@ class TestSweep:
                             "--stop", "2", "--steps", "4"], capsys)
         assert code == 1
         assert "m=" in err
+
+    def test_out_of_range_theta_exits_1(self, capsys):
+        code, out, err = run(["sweep", "coherent", "--n", "4", "--start",
+                              "0", "--stop", "4", "--steps", "3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("spinent: error:")
+        assert "theta" in err
 
 
 class TestOracleCheck:

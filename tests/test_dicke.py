@@ -48,6 +48,10 @@ class TestDickeState:
         with pytest.raises(NormalizationError):
             DickeState(2, [1.0, 1.0, 0.0])
 
+    def test_nan_norm_rejected(self):
+        with pytest.raises(NormalizationError):
+            DickeState(1, [math.nan, 0.0])
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             DickeState(2, [1.0, 0.0])

@@ -13,6 +13,8 @@ from spinent import (
     DimensionCapError,
     FullState,
     InsufficientAtomsError,
+    LengthMismatchError,
+    NormalizationError,
     NotSymmetricError,
     WrongAtomCountError,
     analyze,
@@ -158,6 +160,14 @@ class TestBasisMaps:
         with pytest.raises(ValueError):
             FullState(2, [1.0, 1.0, 0.0, 0.0])
 
+    def test_full_state_error_classes(self):
+        with pytest.raises(LengthMismatchError):
+            FullState(2, [1.0, 0.0, 0.0])
+        with pytest.raises(LengthMismatchError):
+            FullState(0, [1.0])
+        with pytest.raises(NormalizationError):
+            FullState(1, [math.nan, 0.0])
+
 
 class TestOracleMetrics:
     @pytest.mark.parametrize("n", range(2, 9))
@@ -196,6 +206,19 @@ class TestOracleMetrics:
                     continue
                 assert_allclose(oracle.per_atom_var_xp, 0.25, atol=1e-12)
                 assert_allclose(oracle.per_atom_var_yp, 0.25, atol=1e-12)
+
+    def test_degenerate_frame_matches_ladder_path(self):
+        state = dicke_state(4, 0)
+        ladder = analyze(state)
+        oracle = oracle_metrics(dicke_to_full(state))
+        for report in (ladder.report, oracle.report):
+            assert report.classification is Classification.DEGENERATE_FRAME
+            for name in ("var_xp", "var_yp", "corr_x", "corr_y", "s_param",
+                         "q_x", "q_y", "xi_rx", "xi_ry"):
+                assert getattr(report, name) is None
+        assert oracle.frame is None
+        assert oracle.per_atom_var_xp is None
+        assert oracle.per_atom_var_yp is None
 
     def test_pair_choice_does_not_matter(self):
         # <J_ia J_lb> must be identical for every atom pair and symmetric

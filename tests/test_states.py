@@ -12,6 +12,7 @@ from spinent import (
     InvalidQuantumNumberError,
     LengthMismatchError,
     NormalizationError,
+    SpinentError,
     analyze,
     coherent_state,
     collective_moments,
@@ -78,6 +79,10 @@ class TestCoherentState:
             CoherentSpec(3, 1.0, 2.0 * math.pi)
         with pytest.raises(LengthMismatchError):
             CoherentSpec(0, 1.0, 0.0)
+        with pytest.raises(LengthMismatchError):
+            CoherentSpec("4", 1.0, 0.0)
+        with pytest.raises(SpinentError):
+            CoherentSpec(3, math.nan, 0.0)
 
 
 class TestDickeState:
