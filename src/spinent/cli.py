@@ -11,20 +11,29 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .dicke import DickeState, collective_moments, pairwise_correlators
+from .dicke import CollectiveMoments, DickeState, PairCorrelators, \
+    pairwise_correlators
 from .errors import DimensionCapError, SpinentError
 from .frame import DEFAULT_EPSILON
 from .io import CSV_HEADER, csv_row, dump_document, parse_state, \
     report_document, state_document
-from .metrics import Classification, DEFAULT_S_TOLERANCE, analyze
+from .metrics import Classification, DEFAULT_S_TOLERANCE, _METRIC_NAMES, \
+    analyze
 from .oracle import DEFAULT_DIMENSION_CAP, dicke_to_full, oracle_metrics
 from .states import CoherentSpec, coherent_state, custom_state, dicke_state, \
     random_state, twisted_state
 
 _ORACLE_TOLERANCE = 1e-9
+
+# The factory argument each sweep kind varies.
+_SWEPT = {"coherent": "theta", "dicke": "m", "twist": "mu"}
+
+_MOMENT_NAMES = tuple(f.name for f in fields(CollectiveMoments))
+_CORRELATOR_NAMES = tuple(f.name for f in fields(PairCorrelators))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,47 +137,40 @@ def _parse_coeffs(tokens: list[str]) -> list[complex]:
     return values
 
 
-def _cmd_make_state(args) -> int:
-    def require(flag_value, flag_name):
-        if flag_value is None:
-            raise SpinentError(
-                f"make-state {args.kind} requires {flag_name}")
-        return flag_value
+def _make_state(args) -> DickeState:
+    """The state of kind args.kind, built from the parsed flags."""
+    def require(flag):
+        value = getattr(args, flag)
+        if value is None:
+            raise SpinentError(f"make-state {args.kind} requires --{flag}")
+        return value
 
     if args.kind == "coherent":
-        state = coherent_state(CoherentSpec(
-            args.n, require(args.theta, "--theta"), args.phi))
-    elif args.kind == "dicke":
-        state = dicke_state(args.n, require(args.m, "--m"))
-    elif args.kind == "twist":
-        state = twisted_state(
-            CoherentSpec(args.n, require(args.theta, "--theta"), args.phi),
-            require(args.mu, "--mu"))
-    else:
-        coeffs = _parse_coeffs(require(args.coeffs, "--coeffs"))
-        state = custom_state(args.n, coeffs, renormalize=args.renormalize)
+        return coherent_state(CoherentSpec(args.n, require("theta"),
+                                           args.phi))
+    if args.kind == "dicke":
+        return dicke_state(args.n, require("m"))
+    if args.kind == "twist":
+        return twisted_state(
+            CoherentSpec(args.n, require("theta"), args.phi), require("mu"))
+    return custom_state(args.n, _parse_coeffs(require("coeffs")),
+                        renormalize=args.renormalize)
+
+
+def _cmd_make_state(args) -> int:
     # Factories emit exactly normalized coefficients, so the file never
     # needs its own renormalize flag set.
-    sys.stdout.write(dump_document(state_document(state)))
+    sys.stdout.write(dump_document(state_document(_make_state(args))))
     return 0
-
-
-def _sweep_state(kind: str, value: float, args) -> DickeState:
-    if kind == "coherent":
-        return coherent_state(CoherentSpec(args.n, value, args.phi))
-    if kind == "dicke":
-        return dicke_state(args.n, value)
-    return twisted_state(CoherentSpec(args.n, args.theta, args.phi), value)
 
 
 def _cmd_sweep(args) -> int:
     if args.steps < 2:
         raise SpinentError(f"--steps must be at least 2, got {args.steps}")
-    values = np.linspace(args.start, args.stop, args.steps)
     lines = [CSV_HEADER]
-    for value in values:
-        analysis = analyze(_sweep_state(args.kind, float(value), args))
-        lines.append(csv_row(float(value), analysis))
+    for value in np.linspace(args.start, args.stop, args.steps).tolist():
+        setattr(args, _SWEPT[args.kind], value)
+        lines.append(csv_row(value, analyze(_make_state(args))))
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
@@ -203,39 +205,27 @@ def _cmd_oracle_check(args) -> int:
     if args.trials < 1:
         raise SpinentError(f"--trials must be positive, got {args.trials}")
     rng = np.random.default_rng(args.seed)
-    moment_names = ("jx", "jy", "jz", "jx2", "jy2", "jz2",
-                    "sym_xy", "sym_xz", "sym_yz")
-    correlator_names = ("xx", "yy", "zz", "xy", "xz", "yz")
-    metric_names = ("var_xp", "var_yp", "corr_x", "corr_y", "s_param",
-                    "q_x", "q_y", "xi_rx", "xi_ry")
-    deviations = {name: 0.0 for name in
-                  moment_names + correlator_names + ("magnitude",)
-                  + metric_names}
+    groups = (_MOMENT_NAMES, _CORRELATOR_NAMES, ("magnitude",), _METRIC_NAMES)
+    deviations = dict.fromkeys(sum(groups, ()), 0.0)
     class_mismatches = 0
     for n in range(low, high + 1):
         for _ in range(args.trials):
             state = random_state(n, rng)
             ladder = analyze(state)
             oracle = oracle_metrics(dicke_to_full(state, cap=args.cap))
-            for name in moment_names:
-                deviations[name] = max(deviations[name], abs(
-                    getattr(ladder.moments, name)
-                    - getattr(oracle.moments, name)))
-            ladder_pairs = pairwise_correlators(state)
-            for name in correlator_names:
-                deviations[name] = max(deviations[name], abs(
-                    getattr(ladder_pairs, name)
-                    - getattr(oracle.correlators, name)))
-            deviations["magnitude"] = max(deviations["magnitude"], abs(
-                ladder.mean_spin.magnitude - oracle.mean_spin.magnitude))
-            for name in metric_names:
-                left = getattr(ladder.report, name)
-                right = getattr(oracle.report, name)
-                if left is None or right is None:
-                    if left is not right:
-                        class_mismatches += 1
-                    continue
-                deviations[name] = max(deviations[name], abs(left - right))
+            sides = ((ladder.moments, oracle.moments),
+                     (pairwise_correlators(state), oracle.correlators),
+                     (ladder.mean_spin, oracle.mean_spin),
+                     (ladder.report, oracle.report))
+            for names, (ours, theirs) in zip(groups, sides):
+                for name in names:
+                    left, right = getattr(ours, name), getattr(theirs, name)
+                    if left is None or right is None:
+                        if left is not right:
+                            class_mismatches += 1
+                        continue
+                    deviations[name] = max(deviations[name],
+                                           abs(left - right))
             if ladder.report.classification \
                     is not oracle.report.classification:
                 class_mismatches += 1

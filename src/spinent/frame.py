@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import CollectiveMoments
-from .errors import DegenerateMeanSpinError
+from .errors import DegenerateMeanSpinError, SpinentError
 
 # Degeneracy threshold for the mean-spin length and its transverse part.
 DEFAULT_EPSILON = 1e-12
@@ -63,8 +63,11 @@ def build_frame(spin: MeanSpin, epsilon: float = DEFAULT_EPSILON) -> Frame:
     Raises DegenerateMeanSpinError when the mean spin is shorter than
     epsilon; no frame (and no squeezing analysis) exists there.  When only
     the transverse part vanishes the azimuth is conventionally set to 0 and
-    the frame is flagged degenerate_phi.
+    the frame is flagged degenerate_phi.  epsilon must be positive.
     """
+    # Negated so that a NaN epsilon is rejected too.
+    if not epsilon > 0.0:
+        raise SpinentError(f"epsilon must be positive, got {epsilon!r}")
     if spin.magnitude < epsilon:
         raise DegenerateMeanSpinError(
             f"mean spin length {spin.magnitude:.3e} is below {epsilon:.3e}; "

@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .dicke import DickeState
 from .errors import SpinentError
-from .metrics import Classification, StateAnalysis
+from .frame import MeanSpin
+from .metrics import Classification, StateAnalysis, _METRIC_NAMES
 from .states import custom_state
 
-CSV_HEADER = ("parameter,var_xp,var_yp,corr_x,corr_y,s_param,"
-              "q_x,q_y,xi_rx,xi_ry,classification")
+CSV_HEADER = ",".join(("parameter", *_METRIC_NAMES, "classification"))
+
+_SPIN_NAMES = tuple(f.name for f in fields(MeanSpin))
 
 _PRECISION_VAR = "SPINENT_PRECISION"
 
@@ -102,20 +105,11 @@ def report_document(analysis: StateAnalysis) -> dict:
     return {
         "version": __version__,
         "n_atoms": report.n_atoms,
-        "mean_spin": {
-            "jx": spin.jx, "jy": spin.jy, "jz": spin.jz,
-            "magnitude": spin.magnitude, "transverse": spin.transverse,
-        },
+        "mean_spin": {name: getattr(spin, name) for name in _SPIN_NAMES},
         "frame": frame_doc,
         "degenerate_frame": degenerate,
         "degenerate_phi": degenerate_phi,
-        "metrics": {
-            "var_xp": report.var_xp, "var_yp": report.var_yp,
-            "corr_x": report.corr_x, "corr_y": report.corr_y,
-            "s_param": report.s_param,
-            "q_x": report.q_x, "q_y": report.q_y,
-            "xi_rx": report.xi_rx, "xi_ry": report.xi_ry,
-        },
+        "metrics": {name: getattr(report, name) for name in _METRIC_NAMES},
         "classification": report.classification.value,
     }
 
@@ -142,8 +136,7 @@ def csv_row(parameter: float, analysis: StateAnalysis) -> str:
     precision = _precision()
     report = analysis.report
     cells = [_format_cell(parameter, precision)]
-    cells += [_format_cell(v, precision) for v in (
-        report.var_xp, report.var_yp, report.corr_x, report.corr_y,
-        report.s_param, report.q_x, report.q_y, report.xi_rx, report.xi_ry)]
+    cells += [_format_cell(getattr(report, name), precision)
+              for name in _METRIC_NAMES]
     cells.append(report.classification.value)
     return ",".join(cells)

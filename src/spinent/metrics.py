@@ -20,12 +20,13 @@ plus an independent pairwise-correlator evaluation used for cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .dicke import DickeState, CollectiveMoments, collective_moments, \
     pairwise_correlators
-from .errors import DegenerateMeanSpinError, InsufficientAtomsError
+from .errors import DegenerateMeanSpinError, InsufficientAtomsError, \
+    SpinentError
 from .frame import DEFAULT_EPSILON, Frame, MeanSpin, _transverse_axes, \
     build_frame, mean_spin
 
@@ -62,6 +63,11 @@ class MetricsReport:
     xi_rx: float | None
     xi_ry: float | None
     classification: Classification
+
+
+# The nine metrics between n_atoms and classification, in field order: the
+# report, the CSV row and oracle-check all read the layout from here.
+_METRIC_NAMES = tuple(f.name for f in fields(MetricsReport))[1:-1]
 
 
 @dataclass(frozen=True)
@@ -196,7 +202,15 @@ def s_from_xi(xi_rx: float, xi_ry: float, magnitude: float,
 
 def classify(s_param: float | None, degenerate_frame: bool = False,
              s_tolerance: float = DEFAULT_S_TOLERANCE) -> Classification:
-    """Map S to a classification; tolerance absorbs rounding around zero."""
+    """Map S to a classification; tolerance absorbs rounding around zero.
+
+    Every report is classified here, degenerate frames included, so a
+    negative or NaN s_tolerance raises whatever the state.
+    """
+    # Negated so that a NaN tolerance is rejected too.
+    if not s_tolerance >= 0.0:
+        raise SpinentError(
+            f"s_tolerance must be non-negative, got {s_tolerance!r}")
     if degenerate_frame:
         return Classification.DEGENERATE_FRAME
     if s_param is None:
@@ -214,8 +228,8 @@ def _assemble_report(n_atoms: int, variances: tuple[float, float] | None,
     analyze and the 2**N oracle share it, and nothing before the variances.
     """
     if variances is None:
-        values = (None,) * 9
-        classification = Classification.DEGENERATE_FRAME
+        values = (None,) * len(_METRIC_NAMES)
+        s_param = None
     else:
         var_xp, var_yp = variances
         corr_x, corr_y = correlation_terms(var_xp, var_yp, n_atoms)
@@ -226,8 +240,8 @@ def _assemble_report(n_atoms: int, variances: tuple[float, float] | None,
         # In MetricsReport field order.
         values = (var_xp, var_yp, corr_x, corr_y, s_param, q_x, q_y, xi_rx,
                   xi_ry)
-        classification = classify(s_param, s_tolerance=s_tolerance)
-    return MetricsReport(n_atoms, *values, classification)
+    return MetricsReport(n_atoms, *values,
+                         classify(s_param, variances is None, s_tolerance))
 
 
 def analyze(state: DickeState, epsilon: float = DEFAULT_EPSILON,

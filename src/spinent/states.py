@@ -67,12 +67,12 @@ def dicke_state(n_atoms: int, m: float) -> DickeState:
     """
     j = n_atoms / 2.0
     k = j - m
-    k_round = round(k)
-    if abs(k - k_round) > _M_TOLERANCE or not 0 <= k_round <= n_atoms:
+    # Negated, with round() last, so that a NaN or infinite m fails it.
+    if not (-0.5 < k < n_atoms + 0.5 and abs(k - round(k)) <= _M_TOLERANCE):
         raise InvalidQuantumNumberError(
             f"m={m!r} is not one of j, j-1, ..., -j for j={j}")
     coeffs = np.zeros(n_atoms + 1, dtype=complex)
-    coeffs[int(k_round)] = 1.0
+    coeffs[round(k)] = 1.0
     return DickeState(n_atoms, coeffs)
 
 
@@ -96,10 +96,6 @@ def custom_state(n_atoms: int, coefficients: Sequence[complex],
     1e-6; nothing is ever rescaled silently.
     """
     arr = np.asarray(coefficients, dtype=complex)
-    if arr.shape != (n_atoms + 1,):
-        raise LengthMismatchError(
-            f"expected {n_atoms + 1} coefficients for n_atoms={n_atoms}, "
-            f"got shape {arr.shape}")
     if renormalize:
         norm = float(np.linalg.norm(arr))
         if norm == 0.0:

@@ -26,6 +26,13 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def assert_input_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("spinent: error:")
+    assert "Traceback" not in err
+
+
 def rows(csv_text):
     lines = csv_text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -90,6 +97,11 @@ class TestMakeState:
         assert code == 1
         assert err.startswith("spinent: error:")
         assert "theta" in err
+
+    @pytest.mark.parametrize("m", ["nan", "inf", "-inf"])
+    def test_non_finite_m_exits_1(self, m, capsys):
+        assert_input_error(*run(["make-state", "dicke", "--n", "4",
+                                 f"--m={m}"], capsys))
 
 
 class TestAnalyze:
@@ -170,6 +182,20 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("spinent: error:")
         assert "renormalize" in err
+
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "0"])
+    def test_non_positive_epsilon_exit_1(self, epsilon, tmp_path, capsys):
+        # The m=0 state has zero mean spin; a bad epsilon used to divide by it.
+        path = self.make_file(tmp_path, [0.0, 0.0, 1.0, 0.0, 0.0], n=4)
+        assert_input_error(*run(["analyze", path, f"--epsilon={epsilon}"],
+                                capsys))
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_bad_s_tolerance_exit_1(self, tolerance, tmp_path, capsys):
+        # A coherent (product) state used to come out entangled under these.
+        path = self.make_file(tmp_path, [1.0, 0.0, 0.0, 0.0, 0.0], n=4)
+        assert_input_error(*run(["analyze", path,
+                                 f"--s-tolerance={tolerance}"], capsys))
 
     def test_single_atom_exit_1(self, tmp_path, capsys):
         path = self.make_file(tmp_path, [1.0, 0.0], n=1)
@@ -281,6 +307,11 @@ class TestSweep:
         assert err.startswith("spinent: error:")
         assert "theta" in err
 
+    def test_nan_start_exits_1(self, capsys):
+        assert_input_error(*run(["sweep", "dicke", "--n", "4", "--start",
+                                 "nan", "--stop", "0", "--steps", "2"],
+                                capsys))
+
 
 class TestOracleCheck:
     def test_small_range_passes(self, capsys):
@@ -311,6 +342,46 @@ class TestOracleCheck:
                            capsys)
         assert code == 1
         assert "trials" in err
+
+
+class TestLayout:
+    """The field names and their order, as a script reading the output sees
+    them; written out here because the code derives them."""
+
+    def test_sweep_csv_header(self, capsys):
+        _, out, _ = run(["sweep", "dicke", "--n", "2", "--start", "-1",
+                         "--stop", "1", "--steps", "3"], capsys)
+        assert out.split("\n")[0] == (
+            "parameter,var_xp,var_yp,corr_x,corr_y,s_param,q_x,q_y,xi_rx,"
+            "xi_ry,classification")
+
+    def test_analyze_report_key_order(self, capsys, monkeypatch):
+        _, state_text, _ = run(["make-state", "coherent", "--n", "4",
+                                "--theta", "1.0"], capsys)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(state_text))
+        _, out, _ = run(["analyze", "-"], capsys)
+        doc = json.loads(out)
+        assert list(doc) == ["version", "n_atoms", "mean_spin", "frame",
+                             "degenerate_frame", "degenerate_phi", "metrics",
+                             "classification"]
+        assert list(doc["mean_spin"]) == ["jx", "jy", "jz", "magnitude",
+                                          "transverse"]
+        assert list(doc["frame"]) == ["cos_theta", "sin_theta", "cos_phi",
+                                      "sin_phi"]
+        assert list(doc["metrics"]) == ["var_xp", "var_yp", "corr_x",
+                                        "corr_y", "s_param", "q_x", "q_y",
+                                        "xi_rx", "xi_ry"]
+
+    def test_oracle_check_field_order(self, capsys):
+        _, out, _ = run(["oracle-check", "--n", "2", "--trials", "1"],
+                        capsys)
+        names = [line.split()[0] for line in out.split("\n")
+                 if "max deviation" in line]
+        assert names == ["jx", "jy", "jz", "jx2", "jy2", "jz2", "sym_xy",
+                         "sym_xz", "sym_yz", "xx", "yy", "zz", "xy", "xz",
+                         "yz", "magnitude", "var_xp", "var_yp", "corr_x",
+                         "corr_y", "s_param", "q_x", "q_y", "xi_rx",
+                         "xi_ry"]
 
 
 class TestPrecisionVariable:

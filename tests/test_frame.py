@@ -10,6 +10,7 @@ from spinent import (
     CoherentSpec,
     DegenerateMeanSpinError,
     DickeState,
+    SpinentError,
     build_frame,
     coherent_state,
     collective_moments,
@@ -77,6 +78,14 @@ def test_degenerate_mean_spin_raises():
         custom_state(4, [inv, 0.0, 0.0, 0.0, inv])))
     with pytest.raises(DegenerateMeanSpinError):
         build_frame(spin)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+def test_non_positive_epsilon_rejected(epsilon):
+    # Checked before the mean-spin length, which it would otherwise divide by.
+    spin = mean_spin(collective_moments(dicke_state(4, 0.0)))
+    with pytest.raises(SpinentError, match="epsilon"):
+        build_frame(spin, epsilon)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])

@@ -13,6 +13,7 @@ from spinent import (
     DegenerateMeanSpinError,
     DickeState,
     InsufficientAtomsError,
+    SpinentError,
     analyze,
     build_frame,
     classify,
@@ -213,6 +214,15 @@ class TestClassify:
     def test_custom_tolerance(self):
         assert classify(0.5, s_tolerance=1.0) is Classification.UNENTANGLED
 
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
+    def test_bad_tolerance_rejected_first(self, tolerance):
+        for s_param, degenerate in ((0.0, False), (None, True)):
+            with pytest.raises(SpinentError, match="s_tolerance"):
+                classify(s_param, degenerate, s_tolerance=tolerance)
+
+    def test_zero_tolerance_allowed(self):
+        assert classify(0.0, s_tolerance=0.0) is Classification.UNENTANGLED
+
 
 class TestAnalyzePipeline:
     def test_report_assembly_is_exact(self):
@@ -240,6 +250,13 @@ class TestAnalyzePipeline:
     def test_single_atom_rejected(self):
         with pytest.raises(InsufficientAtomsError):
             analyze(DickeState(1, [1.0, 0.0]))
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_bad_s_tolerance_rejected_on_every_frame(self, m, tolerance):
+        # m=0 has a degenerate frame; classify still decides it.
+        with pytest.raises(SpinentError, match="s_tolerance"):
+            analyze(dicke_state(4, m), s_tolerance=tolerance)
 
     def test_worked_state_end_to_end(self):
         r = analyze(WORKED).report

@@ -95,7 +95,8 @@ class TestDickeState:
                         [0.0, 1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("n,m", [(2, 0.5), (2, 2.0), (3, 0.0),
-                                     (4, -3.0), (5, 1.0)])
+                                     (4, -3.0), (5, 1.0), (4, math.nan),
+                                     (4, math.inf), (4, -math.inf)])
     def test_invalid_m_rejected(self, n, m):
         with pytest.raises(InvalidQuantumNumberError):
             dicke_state(n, m)
