@@ -167,6 +167,11 @@ def _cmd_make_state(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.steps < 2:
         raise SpinentError(f"--steps must be at least 2, got {args.steps}")
+    # False for a NaN or infinite end, and for a span np.linspace overflows.
+    if not math.isfinite(args.stop - args.start):
+        raise SpinentError(
+            "--start and --stop must be finite, as must their difference, "
+            f"got {args.start!r} and {args.stop!r}")
     lines = [CSV_HEADER]
     for value in np.linspace(args.start, args.stop, args.steps).tolist():
         setattr(args, _SWEPT[args.kind], value)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dicke import DickeState
+from .dicke import DickeState, _m_of
 from .errors import InvalidQuantumNumberError, LengthMismatchError, \
     NormalizationError, SpinentError
 
@@ -39,25 +39,39 @@ class CoherentSpec:
                 f"phi must lie in [0, 2*pi), got {self.phi!r}")
 
 
+def _coherent_coefficients(spec: CoherentSpec) -> np.ndarray:
+    """The coefficient vector of coherent_state, built in log space."""
+    n = spec.n_atoms
+    sin_half = math.sin(spec.theta / 2.0)
+    if sin_half == 0.0:
+        # The pole: the log form would meet 0 * log 0.
+        coeffs = np.zeros(n + 1, dtype=complex)
+        coeffs[0] = 1.0
+        return coeffs
+    k = np.arange(n + 1)
+    log_binom = np.zeros(n + 1)
+    np.cumsum(np.log((n - k[1:] + 1) / k[1:]), out=log_binom[1:])
+    log_amp = (0.5 * log_binom
+               + (n - k) * math.log(math.cos(spec.theta / 2.0))
+               + k * math.log(sin_half))
+    return np.exp(log_amp + 1j * spec.phi * k)
+
+
 def coherent_state(spec: CoherentSpec) -> DickeState:
     """Product state with every atom pointing along (theta, phi).
 
     Coefficients are binomial amplitudes,
     c_k = sqrt(C(N, k)) cos(theta/2)**(N-k) sin(theta/2)**k exp(i k phi),
     which expand to the exact N-fold tensor power of the one-atom state.
-    The mean spin has length N/2 and both rotated transverse variances
-    equal N/4, so S = 0 and Q = (1, 1).
+    Each is the exp of its logarithm: log C(N, k) is the cumulative sum of
+    log((N-r+1)/r), the powers add (N-k) log cos(theta/2) + k log
+    sin(theta/2), and one complex exp also applies the phase.  No factor
+    leaves the float range, so the coefficients are finite for any N;
+    theta = 0 returns the basis vector of m = +j exactly.  The mean spin
+    has length N/2 and both rotated transverse variances equal N/4, so
+    S = 0 and Q = (1, 1).
     """
-    n = spec.n_atoms
-    k = np.arange(n + 1)
-    binom = np.array([math.comb(n, r) for r in range(n + 1)], dtype=float)
-    cos_half = math.cos(spec.theta / 2.0)
-    sin_half = math.sin(spec.theta / 2.0)
-    coeffs = (np.sqrt(binom)
-              * cos_half ** (n - k)
-              * sin_half ** k
-              * np.exp(1j * spec.phi * k))
-    return DickeState(n, coeffs)
+    return DickeState(spec.n_atoms, _coherent_coefficients(spec))
 
 
 def dicke_state(n_atoms: int, m: float) -> DickeState:
@@ -80,12 +94,15 @@ def twisted_state(spec: CoherentSpec, mu: float) -> DickeState:
     """One-axis-twisted coherent state: coefficient phases exp(-i mu m**2).
 
     Pure phases, so the coefficient magnitudes of the underlying coherent
-    state are untouched.
+    state are untouched.  mu must keep mu * j**2 finite.
     """
-    base = coherent_state(spec)
-    m = base.m_values
+    # j**2 is the largest m**2, so every twist phase stays finite too.
+    if not math.isfinite(mu * spec.n_atoms * spec.n_atoms / 4.0):
+        raise SpinentError(
+            f"mu must be finite and keep mu * j**2 finite, got {mu!r}")
+    m = _m_of(spec.n_atoms)
     return DickeState(spec.n_atoms,
-                      base.coefficients * np.exp(-1j * mu * m * m))
+                      _coherent_coefficients(spec) * np.exp(-1j * mu * m * m))
 
 
 def custom_state(n_atoms: int, coefficients: Sequence[complex],

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import pytest
 
@@ -24,6 +25,13 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_strict(argv, capsys):
+    # Any warning, e.g. a numpy RuntimeWarning, escapes main as an exception.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(argv, capsys)
 
 
 def assert_input_error(code, out, err):
@@ -102,6 +110,25 @@ class TestMakeState:
     def test_non_finite_m_exits_1(self, m, capsys):
         assert_input_error(*run(["make-state", "dicke", "--n", "4",
                                  f"--m={m}"], capsys))
+
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_mu_exits_1(self, mu, capsys):
+        code, out, err = run_strict(["make-state", "twist", "--n", "4",
+                                     "--theta", "1", f"--mu={mu}"], capsys)
+        assert_input_error(code, out, err)
+        assert "mu" in err
+
+    @pytest.mark.parametrize("kind,flags", [
+        ("coherent", ["--theta", "1.1", "--phi", "0.4"]),
+        ("twist", ["--theta", "1.1", "--phi", "0.4", "--mu", "0.05"])])
+    def test_past_float_binomials(self, kind, flags, capsys):
+        # C(2000, 1000) ~ 2e600 is beyond the float range.
+        code, out, err = run_strict(["make-state", kind, "--n", "2000"]
+                                    + flags, capsys)
+        assert code == 0
+        assert err == ""
+        state = parse_state(out)
+        assert state.n_atoms == 2000
 
 
 class TestAnalyze:
@@ -311,6 +338,25 @@ class TestSweep:
         assert_input_error(*run(["sweep", "dicke", "--n", "4", "--start",
                                  "nan", "--stop", "0", "--steps", "2"],
                                 capsys))
+
+    @pytest.mark.parametrize("start,stop", [
+        ("inf", "0"), ("0", "-inf"), ("-1e308", "1e308")])
+    def test_non_finite_range_exits_1(self, start, stop, capsys):
+        code, out, err = run_strict(["sweep", "twist", "--n", "4",
+                                     f"--start={start}", f"--stop={stop}",
+                                     "--steps", "2"], capsys)
+        assert_input_error(code, out, err)
+        assert "--start" in err
+
+    def test_past_float_binomials(self, capsys):
+        code, out, err = run_strict(["sweep", "coherent", "--n", "2000",
+                                     "--start", "0", "--stop", "3",
+                                     "--steps", "3"], capsys)
+        assert code == 0
+        assert err == ""
+        table = rows(out)
+        assert len(table) == 3
+        assert all(r[10] == "unentangled" for r in table)
 
 
 class TestOracleCheck:

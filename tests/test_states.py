@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinent import (
+    NORM_TOLERANCE,
     Classification,
     CoherentSpec,
     InvalidQuantumNumberError,
@@ -25,6 +26,14 @@ from spinent import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def exact_coherent(n, theta, phi):
+    """Binomial amplitudes from exact integer binomials (N < 1030 only)."""
+    k = np.arange(n + 1)
+    binom = np.array([math.comb(n, r) for r in range(n + 1)], dtype=float)
+    return (np.sqrt(binom) * math.cos(theta / 2.0) ** (n - k)
+            * math.sin(theta / 2.0) ** k * np.exp(1j * phi * k))
 
 
 class TestCoherentState:
@@ -85,6 +94,35 @@ class TestCoherentState:
             CoherentSpec(3, math.nan, 0.0)
 
 
+class TestCoherentRange:
+    THETAS = (0.0, 1e-3, 0.4, math.pi / 2, 2.9, math.pi)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 1000, 1029])
+    def test_matches_exact_binomials(self, n):
+        m = n / 2.0 - np.arange(n + 1)
+        for theta in self.THETAS:
+            spec = CoherentSpec(n, theta, 1.7)
+            want = exact_coherent(n, theta, 1.7)
+            assert_allclose(coherent_state(spec).coefficients, want,
+                            rtol=0, atol=1e-12)
+            assert_allclose(twisted_state(spec, 0.3).coefficients,
+                            want * np.exp(-0.3j * m * m), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1030, 2000, 10**4, 10**6])
+    def test_finite_and_normalized_past_float_binomials(self, n):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for theta in self.THETAS[1:]:
+                spec = CoherentSpec(n, theta, 1.7)
+                for state in (coherent_state(spec),
+                              twisted_state(spec, 1e-3)):
+                    coeffs = state.coefficients
+                    assert np.all(np.isfinite(coeffs))
+                    assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) \
+                        <= NORM_TOLERANCE
+            pole = coherent_state(CoherentSpec(n, 0.0, 1.7)).coefficients
+        assert np.array_equal(pole, np.eye(1, n + 1)[0])
+
+
 class TestDickeState:
     def test_integer_m(self):
         assert_allclose(dicke_state(2, 1.0).coefficients, [1.0, 0.0, 0.0])
@@ -127,6 +165,11 @@ class TestTwistedState:
         after = collective_moments(twisted_state(spec, 0.25))
         assert_allclose(after.jz, base.jz, atol=1e-13)
         assert_allclose(after.jz2, base.jz2, atol=1e-12)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, 1e308])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(SpinentError, match="mu"):
+            twisted_state(CoherentSpec(4, 1.0), mu)
 
     def test_twist_entangles(self):
         spec = CoherentSpec(10, math.pi / 2, 0.0)
