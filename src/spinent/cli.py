@@ -9,6 +9,7 @@ radians.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields
@@ -44,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built on the first main call and reused: parse_args keeps no state
+    # between calls, and each call gets a fresh namespace.
     parser = _Parser(prog="spinent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
@@ -246,20 +250,21 @@ def _cmd_oracle_check(args) -> int:
     return 0 if ok else 1
 
 
+_HANDLERS = {
+    "analyze": _cmd_analyze,
+    "make-state": _cmd_make_state,
+    "sweep": _cmd_sweep,
+    "oracle-check": _cmd_oracle_check,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "make-state": _cmd_make_state,
-        "sweep": _cmd_sweep,
-        "oracle-check": _cmd_oracle_check,
-    }
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except (SpinentError, OSError) as exc:
         print(f"spinent: error: {exc}", file=sys.stderr)
         return 1

@@ -33,13 +33,15 @@ NORM_TOLERANCE = 1e-6
 _IMAG_TOLERANCE = 1e-10
 
 
-def _check_norm(amplitudes: np.ndarray):
+def _check_norm(amplitudes: np.ndarray) -> float:
+    """Squared norm of amplitudes; raises unless within NORM_TOLERANCE of 1."""
     norm2 = float(np.sum(np.abs(amplitudes) ** 2))
     # Negated so that a NaN norm is rejected too.
     if not abs(norm2 - 1.0) <= NORM_TOLERANCE:
         raise NormalizationError(
             f"squared amplitude magnitudes sum to {norm2!r}, "
             f"more than {NORM_TOLERANCE} away from 1")
+    return norm2
 
 
 def _freeze_amplitudes(state, field: str, dimension: Callable[[int], int]):
@@ -207,11 +209,12 @@ def collective_moments(state: DickeState) -> CollectiveMoments:
     """All first and second collective-spin moments of a symmetric state.
 
     Every expectation is evaluated by applying ladder combinations to the
-    coefficient vector, O(N) work per operator application.
+    coefficient vector, O(N) work per operator application, and divided by
+    the squared norm, so drift within NORM_TOLERANCE does not bias them.
     """
     c = state.coefficients
     n = state.n_atoms
-    _check_norm(c)
+    norm2 = _check_norm(c)
     xv = _x_apply(n, c)
     yv = _y_apply(n, c)
     zv = _z_apply(n, c)
@@ -225,8 +228,10 @@ def collective_moments(state: DickeState) -> CollectiveMoments:
     sym_xy = _real_expectation(c, _x_apply(n, yv) + _y_apply(n, xv))
     sym_xz = _real_expectation(c, _x_apply(n, zv) + _z_apply(n, xv))
     sym_yz = _real_expectation(c, _y_apply(n, zv) + _z_apply(n, yv))
-    return CollectiveMoments(jx=jx, jy=jy, jz=jz, jx2=jx2, jy2=jy2, jz2=jz2,
-                             sym_xy=sym_xy, sym_xz=sym_xz, sym_yz=sym_yz)
+    return CollectiveMoments(
+        jx=jx / norm2, jy=jy / norm2, jz=jz / norm2,
+        jx2=jx2 / norm2, jy2=jy2 / norm2, jz2=jz2 / norm2,
+        sym_xy=sym_xy / norm2, sym_xz=sym_xz / norm2, sym_yz=sym_yz / norm2)
 
 
 def pairwise_correlators(state: DickeState) -> PairCorrelators:

@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from spinent import analyze, custom_state
-from spinent.cli import main
+from spinent.cli import _build_parser, main
 from spinent.io import (
     CSV_HEADER,
     dump_document,
@@ -236,6 +236,13 @@ class TestAnalyze:
         code, _, err = run(["analyze", str(path)], capsys)
         assert code == 1
         assert "JSON" in err
+
+    def test_huge_integer_coefficient_exit_1(self, tmp_path, capsys):
+        # complex() of an integer beyond float range raises OverflowError.
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1, "coefficients": [[1' + "0" * 400
+                        + ', 0], [0, 0]]}', encoding="utf-8")
+        assert_input_error(*run(["analyze", str(path)], capsys))
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         code, _, err = run(["analyze", str(tmp_path / "absent.json")],
@@ -466,3 +473,43 @@ class TestUsageErrors:
 
     def test_no_command_exit_1(self, capsys):
         assert run([], capsys)[0] == 1
+
+
+class TestRepeatedCalls:
+    """main reuses one parser; no call may see another call's flags."""
+
+    def first_run(self, argv, capsys):
+        # The output of argv when it is the first call in the process.
+        _build_parser.cache_clear()
+        return run(argv, capsys)
+
+    def assert_same_as_first(self, earlier, argv, capsys):
+        # Runs earlier, then argv; returns what earlier gave.
+        expected = self.first_run(argv, capsys)
+        result = self.first_run(earlier, capsys)
+        assert run(argv, capsys) == expected
+        return result
+
+    def test_valid_command_after_usage_error(self, capsys):
+        code, _, _ = self.assert_same_as_first(
+            ["make-state", "twist", "--n", "4", "--bogus"],
+            ["make-state", "coherent", "--n", "4", "--theta", "1.0"], capsys)
+        assert code == 1
+
+    def test_valid_command_after_help(self, capsys):
+        code, out, _ = self.assert_same_as_first(
+            ["--help"],
+            ["make-state", "coherent", "--n", "4", "--theta", "1.0"], capsys)
+        assert code == 0
+        assert out.startswith("usage: spinent")
+
+    def test_sweep_flags_do_not_leak(self, capsys):
+        self.assert_same_as_first(
+            ["sweep", "twist", "--n", "4", "--start", "0", "--stop", "0.5",
+             "--steps", "3", "--theta", "2.0", "--phi", "0.7"],
+            ["make-state", "coherent", "--n", "4", "--theta", "1.0"], capsys)
+
+    def test_omitted_flag_stays_omitted(self, capsys):
+        argv = ["make-state", "twist", "--n", "4", "--theta", "1.0"]
+        self.assert_same_as_first(argv + ["--mu", "0.3"], argv, capsys)
+        assert_input_error(*run(argv, capsys))

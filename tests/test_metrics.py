@@ -263,6 +263,17 @@ class TestAnalyzePipeline:
         assert_allclose(r.s_param, 3.0 / 16.0, atol=1e-14)
         assert r.classification is Classification.ENTANGLED
 
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_norm_drift_within_tolerance_keeps_product_state(self, n):
+        # |psi|^2 = 1 + 5e-7 passes NORM_TOLERANCE; undivided moments made
+        # this coherent (product) state read S ~ 1.6e-10 * (n / 100)^2.
+        exact = coherent_state(CoherentSpec(n, 1.0, 0.3)).coefficients
+        drifted = custom_state(n, exact * math.sqrt(1.0 + 5e-7))
+        r = analyze(drifted).report
+        assert r.classification is Classification.UNENTANGLED
+        assert r.s_param <= 1e-20
+        assert_allclose((r.q_x, r.q_y), (1.0, 1.0), atol=1e-12)
+
 
 class TestPhysicalProperties:
     def test_robertson_uncertainty_bound(self):
