@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import fields
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -22,13 +23,15 @@ import numpy as np
 from . import __version__
 from .dicke import DickeState
 from .errors import SpinentError
-from .frame import MeanSpin
+from .frame import Frame, MeanSpin
 from .metrics import Classification, StateAnalysis, _METRIC_NAMES
 from .states import custom_state
 
 CSV_HEADER = ",".join(("parameter", *_METRIC_NAMES, "classification"))
 
 _SPIN_NAMES = tuple(f.name for f in fields(MeanSpin))
+# The four direction cosines; degenerate_phi is reported beside the frame.
+_FRAME_NAMES = tuple(f.name for f in fields(Frame))[:-1]
 
 _PRECISION_VAR = "SPINENT_PRECISION"
 
@@ -128,7 +131,7 @@ def parse_state(text: str) -> DickeState:
     """Build a state from state-file text; honors the renormalize flag."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond int's digit limit
         raise SpinentError(f"state file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or \
             "coefficients" not in doc:
@@ -140,7 +143,11 @@ def parse_state(text: str) -> DickeState:
     pairs = doc["coefficients"]
     try:
         coeffs = np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        k = next(k for k, pair in enumerate(pairs)
+                 if max(map(abs, pair)) > sys.float_info.max)
+        raise SpinentError(f"coefficient {k} exceeds float range") from exc
+    except (TypeError, ValueError) as exc:
         raise SpinentError(
             "'coefficients' must be a list of [re, im] pairs") from exc
     renormalize = doc.get("renormalize", False)
@@ -153,26 +160,17 @@ def parse_state(text: str) -> DickeState:
 def report_document(analysis: StateAnalysis) -> dict:
     """Report dict: metrics plus mean spin, frame cosines, and flags."""
     report = analysis.report
-    spin = analysis.mean_spin
-    degenerate = report.classification is Classification.DEGENERATE_FRAME
-    if analysis.frame is None:
-        frame_doc = None
-        degenerate_phi = False
-    else:
-        frame_doc = {
-            "cos_theta": analysis.frame.cos_theta,
-            "sin_theta": analysis.frame.sin_theta,
-            "cos_phi": analysis.frame.cos_phi,
-            "sin_phi": analysis.frame.sin_phi,
-        }
-        degenerate_phi = analysis.frame.degenerate_phi
+    frame = analysis.frame
     return {
         "version": __version__,
         "n_atoms": report.n_atoms,
-        "mean_spin": {name: getattr(spin, name) for name in _SPIN_NAMES},
-        "frame": frame_doc,
-        "degenerate_frame": degenerate,
-        "degenerate_phi": degenerate_phi,
+        "mean_spin": {name: getattr(analysis.mean_spin, name)
+                      for name in _SPIN_NAMES},
+        "frame": None if frame is None else {
+            name: getattr(frame, name) for name in _FRAME_NAMES},
+        "degenerate_frame":
+            report.classification is Classification.DEGENERATE_FRAME,
+        "degenerate_phi": frame is not None and frame.degenerate_phi,
         "metrics": {name: getattr(report, name) for name in _METRIC_NAMES},
         "classification": report.classification.value,
     }

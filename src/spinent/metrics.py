@@ -33,6 +33,10 @@ from .frame import DEFAULT_EPSILON, Frame, MeanSpin, _transverse_axes, \
 # Classification threshold on S; values at or below count as unentangled.
 DEFAULT_S_TOLERANCE = 1e-10
 
+# Rounding gives product states S up to ~0.6 (eps N**2)**2; S is classified
+# against at least this multiple of it, above 1e-10 only for N > ~1.2e5.
+_S_FLOOR_FACTOR = 10.0
+
 # Variances are clamped to zero when rounding drives them this far negative.
 _VARIANCE_FLOOR = -1e-12
 
@@ -226,7 +230,12 @@ def _assemble_report(n_atoms: int, variances: tuple[float, float] | None,
     """Report from the transverse variances (None: degenerate frame).
 
     analyze and the 2**N oracle share it, and nothing before the variances.
+    A valid s_tolerance is raised to the rounding floor of S.
     """
+    # classify rejects an invalid s_tolerance, which max() would hide.
+    if s_tolerance >= 0.0:
+        s_tolerance = max(s_tolerance, _S_FLOOR_FACTOR
+                          * (math.ulp(1.0) * n_atoms * n_atoms) ** 2)
     if variances is None:
         values = (None,) * len(_METRIC_NAMES)
         s_param = None

@@ -2,10 +2,11 @@
 
 Everything here works on the full tensor-product amplitude vector and builds
 collective quantities by summing explicit single-atom operator actions, so
-it shares no reduction formula with the ladder-basis modules.  Operators are
-applied matrix-free by bit manipulation on basis indices: basis index b has
-atom i stored in bit (N-1-i), atom 0 being the most significant bit, with
-bit value 0 for the upper level.
+it shares no reduction formula with the ladder-basis modules.  Basis index
+b has atom i stored in bit (N-1-i), atom 0 being the most significant bit,
+with bit value 0 for the upper level.  Operators are applied matrix-free on
+the (2**i, 2, 2**(N-1-i)) view of the amplitudes, whose middle axis is atom
+i's level: z scales the two levels, x and y swap them and scale.
 
 Single-atom spin-1/2 actions on the levels |u> (bit 0) and |l> (bit 1):
 
@@ -20,15 +21,16 @@ that allocates a 2**N vector takes an overridable cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .dicke import DickeState, CollectiveMoments, PairCorrelators, \
-    _freeze_amplitudes, _real_expectation
+    _freeze_amplitudes
 from .errors import DegenerateMeanSpinError, DimensionCapError, \
-    InsufficientAtomsError, NotSymmetricError, WrongAtomCountError
+    InsufficientAtomsError, NotSymmetricError, SpinentError, \
+    WrongAtomCountError
 from .frame import DEFAULT_EPSILON, Frame, MeanSpin, _transverse_axes, \
     build_frame, mean_spin
 from .metrics import MetricsReport, DEFAULT_S_TOLERANCE, _assemble_report
@@ -44,6 +46,10 @@ _AXES = ("x", "y", "z")
 _SCHMIDT_TOLERANCE = 1e-10
 
 _SYMMETRY_TOLERANCE = 1e-10
+
+# Im <bra|ket> of a Hermitian pair is rounding unless above both bounds.
+_IMAG_TOLERANCE = 1e-10
+_IMAG_RELATIVE = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,24 +139,25 @@ def single_atom_action(amplitudes: np.ndarray, n_atoms: int, atom_index: int,
                        axis: str) -> np.ndarray:
     """Apply one atom's spin-1/2 component to a raw 2**N amplitude vector.
 
-    Matrix-free: partner indices come from flipping the atom's bit, signs
-    from reading it.  Accepts unnormalized vectors so actions compose.
+    Matrix-free on the atom's level axis, per the table in the module
+    docstring.  Accepts unnormalized vectors so actions compose.
     """
     if not 0 <= atom_index < n_atoms:
         raise IndexError(
             f"atom_index {atom_index} out of range for {n_atoms} atoms")
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    shift = n_atoms - 1 - atom_index
-    idx = np.arange(1 << n_atoms)
-    bit = (idx >> shift) & 1
+    view = amplitudes.reshape(1 << atom_index, 2, -1)
     if axis == "z":
-        return np.where(bit == 0, 0.5, -0.5) * amplitudes
-    flipped = amplitudes[idx ^ (1 << shift)]
+        return (np.array([[0.5], [-0.5]]) * view).reshape(-1)
     if axis == "x":
-        return 0.5 * flipped
-    # y: the amplitude arriving on |l> (bit 1) picks up +i/2, on |u> -i/2.
-    return 0.5j * np.where(bit == 1, flipped, -flipped)
+        return (0.5 * view[:, ::-1]).reshape(-1)
+    # y: the amplitude arriving on |l> picks up +i/2, on |u> -i/2.
+    out = np.empty(view.shape, dtype=complex)
+    np.negative(view[:, 1], out=out[:, 0])
+    out[:, 1] = view[:, 0]
+    out *= 0.5j
+    return out.reshape(-1)
 
 
 def single_atom_operator(state: FullState, atom_index: int,
@@ -174,6 +181,19 @@ def schmidt_rank_two_atoms(state: FullState) -> int:
     return 1 if float(singular[-1]) < _SCHMIDT_TOLERANCE else 2
 
 
+def _real_expectation(bra: np.ndarray, ket: np.ndarray) -> float:
+    """Real part of <bra|ket>; a residue beyond rounding is a coding error."""
+    val = complex(np.vdot(bra, ket))
+    residue = abs(val.imag)
+    # Negated so that NaN raises; the relative bound is |bra| |ket| times
+    # _IMAG_RELATIVE, its norms taken only past the absolute bound.
+    if not (residue <= _IMAG_TOLERANCE or residue <= _IMAG_RELATIVE
+            * float(np.linalg.norm(bra) * np.linalg.norm(ket))):
+        raise SpinentError(
+            f"Hermitian expectation has imaginary residue {val.imag:.3e}")
+    return val.real
+
+
 def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
                    epsilon: float = DEFAULT_EPSILON,
                    s_tolerance: float = DEFAULT_S_TOLERANCE) -> OracleReport:
@@ -192,32 +212,20 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
     amps = state.amplitudes
     actions = {axis: [single_atom_action(amps, n, i, axis) for i in range(n)]
                for axis in _AXES}
-    collective = {axis: np.sum(actions[axis], axis=0) for axis in _AXES}
-
-    firsts = {axis: _real_expectation(amps, collective[axis])
-              for axis in _AXES}
-    seconds = {axis: float(np.vdot(collective[axis], collective[axis]).real)
-               for axis in _AXES}
-
-    def sym(a: str, b: str) -> float:
-        # <Ja Jb + Jb Ja> = 2 Re <Ja psi|Jb psi>; the imaginary part is the
-        # commutator expectation and is legitimately nonzero, so no residue
-        # assertion applies here.
-        return 2.0 * float(np.vdot(collective[a], collective[b]).real)
-
+    lab = tuple(np.sum(actions[axis], axis=0) for axis in _AXES)
+    # CollectiveMoments field order.  The sym_ab real parts go unchecked:
+    # Im <Ja psi|Jb psi> is the commutator expectation, legitimately nonzero.
     moments = CollectiveMoments(
-        jx=firsts["x"], jy=firsts["y"], jz=firsts["z"],
-        jx2=seconds["x"], jy2=seconds["y"], jz2=seconds["z"],
-        sym_xy=sym("x", "y"), sym_xz=sym("x", "z"), sym_yz=sym("y", "z"))
+        *[_real_expectation(amps, vec) for vec in lab],
+        *[float(np.vdot(vec, vec).real) for vec in lab],
+        *[2.0 * float(np.vdot(lab[a], lab[b]).real)
+          for a, b in ((0, 1), (0, 2), (1, 2))])
     spin = mean_spin(moments)
 
-    correlators = PairCorrelators(
-        xx=_real_expectation(actions["x"][0], actions["x"][1]),
-        yy=_real_expectation(actions["y"][0], actions["y"][1]),
-        zz=_real_expectation(actions["z"][0], actions["z"][1]),
-        xy=_real_expectation(actions["x"][0], actions["y"][1]),
-        xz=_real_expectation(actions["x"][0], actions["z"][1]),
-        yz=_real_expectation(actions["y"][0], actions["z"][1]))
+    # Each field name is an axis pair: atom 0's axis, then atom 1's.
+    correlators = PairCorrelators(**{
+        f.name: _real_expectation(actions[f.name[0]][0], actions[f.name[1]][1])
+        for f in fields(PairCorrelators)})
 
     try:
         frame = build_frame(spin, epsilon)
@@ -238,7 +246,6 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
 
         # Keep xp_vec and yp_vec alive and each atom's x', y' adjacent: other
         # orders moved the heap layout and oracle-check p90 by up to 25 %.
-        lab = tuple(collective[axis] for axis in _AXES)
         xp_vec, yp_vec = rotated(x_axis, lab), rotated(y_axis, lab)
         variances = variance(xp_vec), variance(yp_vec)
         per_atom_xp, per_atom_yp = zip(*[

@@ -242,7 +242,32 @@ class TestAnalyze:
         path = tmp_path / "huge.json"
         path.write_text('{"n": 1, "coefficients": [[1' + "0" * 400
                         + ', 0], [0, 0]]}', encoding="utf-8")
-        assert_input_error(*run(["analyze", str(path)], capsys))
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert_input_error(code, out, err)
+        assert "coefficient 0 exceeds float range" in err
+
+    def test_integer_past_digit_limit_exit_1(self, tmp_path, capsys):
+        # json refuses integers longer than Python's int/str digit limit
+        # with a plain ValueError, not a JSONDecodeError.
+        path = tmp_path / "longer.json"
+        path.write_text('{"n": 1, "coefficients": [[1' + "0" * 5000
+                        + ', 0], [0, 0]]}', encoding="utf-8")
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert_input_error(code, out, err)
+        assert "JSON" in err
+
+    def test_twisted_state_at_ten_thousand(self, tmp_path, capsys):
+        # Inputs of this size used to stop on an imaginary-residue
+        # AssertionError in the ladder moments.
+        code, out, err = run_strict(["make-state", "twist", "--n", "10000",
+                                     "--theta", "1.2", "--phi", "0.3",
+                                     "--mu", "3e-5"], capsys)
+        assert (code, err) == (0, "")
+        path = tmp_path / "twist.json"
+        path.write_text(out, encoding="utf-8")
+        code, out, err = run_strict(["analyze", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert parse_report(out)["classification"] == "entangled"
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         code, _, err = run(["analyze", str(tmp_path / "absent.json")],

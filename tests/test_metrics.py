@@ -263,7 +263,7 @@ class TestAnalyzePipeline:
         assert_allclose(r.s_param, 3.0 / 16.0, atol=1e-14)
         assert r.classification is Classification.ENTANGLED
 
-    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("n", [100, 1000, 10000])
     def test_norm_drift_within_tolerance_keeps_product_state(self, n):
         # |psi|^2 = 1 + 5e-7 passes NORM_TOLERANCE; undivided moments made
         # this coherent (product) state read S ~ 1.6e-10 * (n / 100)^2.
@@ -271,8 +271,68 @@ class TestAnalyzePipeline:
         drifted = custom_state(n, exact * math.sqrt(1.0 + 5e-7))
         r = analyze(drifted).report
         assert r.classification is Classification.UNENTANGLED
-        assert r.s_param <= 1e-20
+        # Rounding in S scales like N**4: 1e-20 up to N = 1000, then more
+        # (S reads 7.9e-18 at N = 1e4).
+        assert r.s_param <= 1e-20 * max(1.0, n / 1000) ** 4
         assert_allclose((r.q_x, r.q_y), (1.0, 1.0), atol=1e-12)
+
+
+class TestLargeN:
+    """The ladder path through N = 1e6: no residue error, no rounding
+    misclassification of product states, twisted states still entangled."""
+
+    THETAS = np.linspace(0.3, 2.9, 6)
+    PHIS = np.linspace(0.0, 5.0, 5)
+
+    def test_random_states_analyze_and_meet_robertson_bound(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = analyze(random_state(10_000, rng))
+            r = a.report
+            assert r.classification is not Classification.DEGENERATE_FRAME
+            bound = a.mean_spin.magnitude ** 2 / 4.0
+            assert r.var_xp * r.var_yp >= bound * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_coherent_grid_unentangled(self, n):
+        for theta in self.THETAS:
+            for phi in self.PHIS:
+                spec = CoherentSpec(n, float(theta), float(phi))
+                r = analyze(coherent_state(spec)).report
+                assert r.classification is Classification.UNENTANGLED, \
+                    (theta, phi, r.s_param)
+
+    # Without the rounding floor these read S between 4e-9 and 3e-8.
+    @pytest.mark.parametrize("theta, phi", [(0.82, 0.0), (1.34, 1.25),
+                                            (1.86, 3.75)])
+    def test_coherent_unentangled_at_a_million(self, theta, phi):
+        r = analyze(coherent_state(CoherentSpec(10**6, theta, phi))).report
+        assert r.classification is Classification.UNENTANGLED, r.s_param
+        assert_allclose((r.q_x, r.q_y), (1.0, 1.0), atol=1e-9)
+
+    @pytest.mark.parametrize("n, mu", [(100_000, 3e-8), (10**6, 3e-9)])
+    def test_twisted_entangled(self, n, mu):
+        # S of order 1e-2 and 1: far above the rounding floor at either N.
+        r = analyze(twisted_state(CoherentSpec(n, 1.2, 0.3), mu)).report
+        assert r.classification is Classification.ENTANGLED
+        assert r.s_param > 1e-3
+
+    def test_floor_leaves_small_n_tolerance_alone(self):
+        # At N = 1000 the floor is 4.9e-19: a tolerance of zero still
+        # resolves this twist's S ~ 1.8e-12, and the default 1e-10 decides.
+        state = twisted_state(CoherentSpec(1000, 1.2, 0.3), 1e-7)
+        s = analyze(state).report.s_param
+        assert 1e-13 < s < 1e-10
+        assert analyze(state, s_tolerance=0.0).report.classification \
+            is Classification.ENTANGLED
+        assert analyze(state).report.classification \
+            is Classification.UNENTANGLED
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
+    def test_floor_does_not_hide_invalid_tolerance(self, tolerance):
+        state = coherent_state(CoherentSpec(10**6, 1.0))
+        with pytest.raises(SpinentError, match="s_tolerance"):
+            analyze(state, s_tolerance=tolerance)
 
 
 class TestPhysicalProperties:

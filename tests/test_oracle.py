@@ -16,6 +16,7 @@ from spinent import (
     LengthMismatchError,
     NormalizationError,
     NotSymmetricError,
+    SpinentError,
     WrongAtomCountError,
     analyze,
     coherent_state,
@@ -30,6 +31,7 @@ from spinent import (
     single_atom_action,
     single_atom_operator,
 )
+from spinent.oracle import _real_expectation
 
 SQRT3 = math.sqrt(3.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -280,6 +282,28 @@ class TestOracleMetrics:
         full = dicke_to_full(DickeState(15, coeffs), cap=15)
         with pytest.raises(DimensionCapError):
             oracle_metrics(full)
+
+
+class TestResidueCheck:
+    def test_hermitian_pair_returns_real_part(self):
+        vec = np.array([0.6, 0.8j])
+        assert _real_expectation(vec, 2.0 * vec) == 2.0
+
+    @pytest.mark.parametrize("ket", [[1j, 0.0], [1e-6j, 0.0],
+                                     [complex("nanj"), 0.0]])
+    def test_non_hermitian_pair_raises(self, ket):
+        # The error survives python -O, unlike an assert.
+        with pytest.raises(SpinentError, match="imaginary residue"):
+            _real_expectation(np.array([1.0, 0.0]), np.array(ket))
+
+    def test_residue_scaled_to_operand_norms(self):
+        # A residue of 1e-9 is past the absolute 1e-10 but within 1e-12
+        # times |bra| |ket| = 1e4; 1e-7 is past both.
+        bra = np.array([100.0, 0.0])
+        ket = np.array([100.0 + 1e-11j, 0.0])
+        assert _real_expectation(bra, ket) == 1e4
+        with pytest.raises(SpinentError):
+            _real_expectation(bra, np.array([100.0 + 1e-9j, 0.0]))
 
 
 class TestSchmidtRank:
