@@ -208,8 +208,9 @@ def classify(s_param: float | None, degenerate_frame: bool = False,
              s_tolerance: float = DEFAULT_S_TOLERANCE) -> Classification:
     """Map S to a classification; tolerance absorbs rounding around zero.
 
-    Every report is classified here, degenerate frames included, so a
-    negative or NaN s_tolerance raises whatever the state.
+    s_tolerance is used as given; only analyze and oracle_metrics raise it
+    to max(s_tolerance, 10*(ulp(1)*N**2)**2).  Every report is classified
+    here, so a negative or NaN s_tolerance raises for any state.
     """
     # Negated so that a NaN tolerance is rejected too.
     if not s_tolerance >= 0.0:

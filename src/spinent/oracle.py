@@ -4,15 +4,16 @@ Everything here works on the full tensor-product amplitude vector and builds
 collective quantities by summing explicit single-atom operator actions, so
 it shares no reduction formula with the ladder-basis modules.  Basis index
 b has atom i stored in bit (N-1-i), atom 0 being the most significant bit,
-with bit value 0 for the upper level.  Operators are applied matrix-free on
-the (2**i, 2, 2**(N-1-i)) view of the amplitudes, whose middle axis is atom
-i's level: z scales the two levels, x and y swap them and scale.
+with bit value 0 for the upper level.  Atom i's 2x2 operators act on the
+middle axis of the (2**i, 2, 2**(N-1-i)) view, in O(2**N) memory.
 
-Single-atom spin-1/2 actions on the levels |u> (bit 0) and |l> (bit 1):
+Single-atom spin-1/2 actions on the levels |u> (bit 0) and |l> (bit 1),
+and the matrix on (|u>, |l>) of the component along a lab axis a:
 
     x:  |u> -> (1/2)|l>,   |l> -> (1/2)|u>
     y:  |u> -> (i/2)|l>,   |l> -> (-i/2)|u>
     z:  |u> -> (1/2)|u>,   |l> -> (-1/2)|l>
+    a:  (1/2) [[a_z, a_x - i a_y], [a_x + i a_y, -a_z]]
 
 The exponential dimension is capped (default 14 atoms) and every function
 that allocates a 2**N vector takes an overridable cap.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +41,10 @@ from .metrics import classify, correlation_terms, entanglement_parameter, \
 DEFAULT_DIMENSION_CAP = 14
 
 _AXES = ("x", "y", "z")
+
+# The table's matrices in _AXES order, indexed [axis, out level, in level].
+_HALF_PAULI = 0.5 * np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                              [[1, 0], [0, -1]]])
 
 # Schmidt-rank threshold on the smaller singular value of the 2x2 reshape.
 _SCHMIDT_TOLERANCE = 1e-10
@@ -82,13 +86,11 @@ class OracleReport:
     report: MetricsReport
 
 
-@lru_cache(maxsize=None)
 def _hamming_weights(n_atoms: int) -> np.ndarray:
     # weights[b] = number of set bits of b, built by doubling.
     w = np.zeros(1, dtype=np.intp)
     for _ in range(n_atoms):
         w = np.concatenate([w, w + 1])
-    w.setflags(write=False)
     return w
 
 
@@ -135,6 +137,16 @@ def full_to_dicke(state: FullState, tolerance: float = _SYMMETRY_TOLERANCE
     return DickeState(n, coeffs)
 
 
+def _level_actions(amplitudes: np.ndarray, atom_index: int,
+                   matrices: np.ndarray) -> np.ndarray:
+    """k 2x2 matrices on one atom's levels as (k, 2**N), in one gemm."""
+    high = 1 << atom_index
+    levels = amplitudes.reshape(high, 2, -1).transpose(1, 0, 2)
+    acted = matrices.reshape(-1, 2) @ levels.reshape(2, -1)
+    return acted.reshape(-1, 2, high, levels.shape[2]).transpose(
+        0, 2, 1, 3).reshape(len(matrices), -1)
+
+
 def single_atom_action(amplitudes: np.ndarray, n_atoms: int, atom_index: int,
                        axis: str) -> np.ndarray:
     """Apply one atom's spin-1/2 component to a raw 2**N amplitude vector.
@@ -147,17 +159,8 @@ def single_atom_action(amplitudes: np.ndarray, n_atoms: int, atom_index: int,
             f"atom_index {atom_index} out of range for {n_atoms} atoms")
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    view = amplitudes.reshape(1 << atom_index, 2, -1)
-    if axis == "z":
-        return (np.array([[0.5], [-0.5]]) * view).reshape(-1)
-    if axis == "x":
-        return (0.5 * view[:, ::-1]).reshape(-1)
-    # y: the amplitude arriving on |l> picks up +i/2, on |u> -i/2.
-    out = np.empty(view.shape, dtype=complex)
-    np.negative(view[:, 1], out=out[:, 0])
-    out[:, 1] = view[:, 0]
-    out *= 0.5j
-    return out.reshape(-1)
+    return _level_actions(amplitudes, atom_index,
+                          _HALF_PAULI[[_AXES.index(axis)]])[0]
 
 
 def single_atom_operator(state: FullState, atom_index: int,
@@ -210,9 +213,17 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
         raise InsufficientAtomsError(
             f"oracle analysis needs at least 2 atoms, got {n}")
     amps = state.amplitudes
-    actions = {axis: [single_atom_action(amps, n, i, axis) for i in range(n)]
-               for axis in _AXES}
-    lab = tuple(np.sum(actions[axis], axis=0) for axis in _AXES)
+    lab = _level_actions(amps, 0, _HALF_PAULI)
+    second = _level_actions(amps, 1, _HALF_PAULI)
+    # Field names pair atom 0's axis (lab, so far) with atom 1's (second).
+    correlators = PairCorrelators(**{
+        f.name: _real_expectation(lab[_AXES.index(f.name[0])],
+                                  second[_AXES.index(f.name[1])])
+        for f in fields(PairCorrelators)})
+    lab += second
+    del second
+    for i in range(2, n):
+        lab += _level_actions(amps, i, _HALF_PAULI)
     # CollectiveMoments field order.  The sym_ab real parts go unchecked:
     # Im <Ja psi|Jb psi> is the commutator expectation, legitimately nonzero.
     moments = CollectiveMoments(
@@ -222,35 +233,22 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
           for a, b in ((0, 1), (0, 2), (1, 2))])
     spin = mean_spin(moments)
 
-    # Each field name is an axis pair: atom 0's axis, then atom 1's.
-    correlators = PairCorrelators(**{
-        f.name: _real_expectation(actions[f.name[0]][0], actions[f.name[1]][1])
-        for f in fields(PairCorrelators)})
-
     try:
         frame = build_frame(spin, epsilon)
     except DegenerateMeanSpinError:
         frame = variances = per_atom_xp = per_atom_yp = None
     else:
-        x_axis, y_axis = _transverse_axes(frame)
-
-        def rotated(axis: tuple[float, float, float],
-                    vectors: tuple[np.ndarray, ...]) -> np.ndarray:
-            # axis . vectors; a zero component (always z for y') is skipped.
-            out = axis[0] * vectors[0] + axis[1] * vectors[1]
-            return out + axis[2] * vectors[2] if axis[2] else out
+        axes = np.array(_transverse_axes(frame))
+        primed = np.einsum("ka,aij->kij", axes, _HALF_PAULI)
 
         def variance(acted: np.ndarray) -> float:
             first = _real_expectation(amps, acted)
             return float(np.vdot(acted, acted).real) - first * first
 
-        # Keep xp_vec and yp_vec alive and each atom's x', y' adjacent: other
-        # orders moved the heap layout and oracle-check p90 by up to 25 %.
-        xp_vec, yp_vec = rotated(x_axis, lab), rotated(y_axis, lab)
-        variances = variance(xp_vec), variance(yp_vec)
+        variances = tuple(variance(vec) for vec in axes @ lab)
         per_atom_xp, per_atom_yp = zip(*[
-            (variance(rotated(x_axis, atom)), variance(rotated(y_axis, atom)))
-            for atom in zip(*(actions[axis] for axis in _AXES))])
+            [variance(vec) for vec in _level_actions(amps, i, primed)]
+            for i in range(n)])
 
     report = _assemble_report(n, variances, spin.magnitude, epsilon,
                               s_tolerance)

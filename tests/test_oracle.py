@@ -1,6 +1,7 @@
 """Brute-force 2**N path: operator actions, basis maps, full cross-check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,10 +173,11 @@ class TestBasisMaps:
 
 
 class TestOracleMetrics:
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", [*range(2, 9), 12, 14])
     def test_field_agreement_with_ladder_path(self, n):
+        # 12 and 14 (the cap) reach the level axis at high atom indices.
         rng = np.random.default_rng(2000 + n)
-        for _ in range(10):
+        for _ in range(10 if n <= 8 else 2):
             state = random_state(n, rng)
             ladder = analyze(state)
             oracle = oracle_metrics(dicke_to_full(state))
@@ -271,6 +273,21 @@ class TestOracleMetrics:
                 if i != l:
                     total -= means[i] * means[l]
         assert abs(total - oracle.report.var_xp) < 1e-10
+
+    def test_peak_memory_is_a_few_vectors(self):
+        # O(2**N): a fixed number of complex 2**N vectors, below 24, not a
+        # number growing with N (3N single-atom actions are 36 at N = 12).
+        n = 12
+        full = dicke_to_full(random_state(n, np.random.default_rng(3300)))
+        assert oracle_metrics(full).frame is not None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            oracle_metrics(full)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 16 * (1 << n)
 
     def test_single_atom_state_rejected(self):
         with pytest.raises(InsufficientAtomsError):
