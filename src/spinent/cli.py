@@ -17,7 +17,9 @@ from dataclasses import fields
 import numpy as np
 
 from .dicke import CollectiveMoments, DickeState, PairCorrelators, \
-    pairwise_correlators
+    _correlators_from_moments
+# Unused here, but bench/tracing.py wraps this name on this module.
+from .dicke import pairwise_correlators
 from .errors import DimensionCapError, SpinentError
 from .frame import DEFAULT_EPSILON
 from .io import CSV_HEADER, csv_row, dump_document, parse_state, \
@@ -223,7 +225,8 @@ def _cmd_oracle_check(args) -> int:
             ladder = analyze(state)
             oracle = oracle_metrics(dicke_to_full(state, cap=args.cap))
             sides = ((ladder.moments, oracle.moments),
-                     (pairwise_correlators(state), oracle.correlators),
+                     (_correlators_from_moments(n, ladder.moments),
+                      oracle.correlators),
                      (ladder.mean_spin, oracle.mean_spin),
                      (ladder.report, oracle.report))
             for names, (ours, theirs) in zip(groups, sides):

@@ -233,7 +233,12 @@ def pairwise_correlators(state: DickeState) -> PairCorrelators:
     if n < 2:
         raise InsufficientAtomsError(
             f"pair correlators need at least 2 atoms, got {n}")
-    mom = collective_moments(state)
+    return _correlators_from_moments(n, collective_moments(state))
+
+
+def _correlators_from_moments(n: int, mom: CollectiveMoments
+                              ) -> PairCorrelators:
+    """pairwise_correlators' reduction, from moments already computed."""
     pairs = n * (n - 1)
     quarter = n / 4.0
     return PairCorrelators(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import fields
@@ -142,7 +143,11 @@ def parse_state(text: str) -> DickeState:
         raise SpinentError(f"'n' must be an integer, got {n!r}")
     pairs = doc["coefficients"]
     try:
-        coeffs = np.array([complex(re, im) for re, im in pairs])
+        if not set(map(len, pairs)) <= {2}:
+            raise ValueError("a row is not a pair")
+        # pos refuses a string or a null, which fromiter reads as a float.
+        coeffs = np.fromiter(map(operator.pos, chain.from_iterable(pairs)),
+                             float, 2 * len(pairs)).view(complex)
     except OverflowError as exc:
         k = next(k for k, pair in enumerate(pairs)
                  if max(map(abs, pair)) > sys.float_info.max)

@@ -6,10 +6,16 @@ import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from spinent import analyze, custom_state
+import spinent.cli
+import spinent.dicke
+import spinent.metrics
+from spinent import CoherentSpec, analyze, coherent_state, custom_state, \
+    pairwise_correlators, random_state
 from spinent.cli import _build_parser, main
+from spinent.dicke import _correlators_from_moments
 from spinent.io import (
     CSV_HEADER,
     dump_document,
@@ -420,6 +426,39 @@ class TestOracleCheck:
                            capsys)
         assert code == 1
         assert "trials" in err
+
+    def test_one_moment_pass_per_state(self, capsys, monkeypatch):
+        # The ladder correlators come from analyze's moments, so each state
+        # costs one collective_moments call, through whichever module.
+        states, passes = [], []
+
+        def counted(module, name, log):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                log.append(args[0])
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(spinent.cli, "random_state", states)
+        for module in (spinent.dicke, spinent.metrics):
+            counted(module, "collective_moments", passes)
+        code, out, _ = run(["oracle-check", "--n", "2..6", "--trials", "3"],
+                           capsys)
+        assert code == 0
+        assert "result: PASS" in out
+        assert len(states) == 5 * 3
+        assert len(passes) == len(states)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_correlators_from_analyze_moments(self, n):
+        rng = np.random.default_rng(500 + n)
+        for state in [random_state(n, rng) for _ in range(3)] + [
+                coherent_state(CoherentSpec(n, 0.9, 0.2))]:
+            direct = pairwise_correlators(state)
+            reused = _correlators_from_moments(n, analyze(state).moments)
+            for name in direct.__dataclass_fields__:
+                assert getattr(direct, name) == getattr(reused, name)
 
 
 class TestLayout:

@@ -1,12 +1,16 @@
-"""The JSON writer: json's own indent=2 text, written without json."""
+"""The JSON writer, json's own indent=2 text written without json, and
+the state-file reader's values and messages."""
 
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinent.io import dump_document
+from spinent.errors import SpinentError
+from spinent.io import dump_document, parse_state
+from spinent.states import custom_state
 
 
 def json_text(doc):
@@ -63,3 +67,64 @@ def test_non_finite_float_rejected(bad, wrap):
 def test_unsupported_types_rejected(doc):
     with pytest.raises(TypeError):
         dump_document(doc)
+
+
+PAIRS_MESSAGE = "'coefficients' must be a list of [re, im] pairs"
+
+
+class TestParseState:
+    @pytest.mark.parametrize("coefficients", [
+        '[["0.6", 0], [0.8, 0]]',
+        '[["1", "0"], [0, 0]]',
+        '[[0, "0.8"], [0.6, 0]]',
+        '[[null, 0], [1, 0]]',
+        '[[1, 0], [0, null]]',
+        '[[1, 0, 0], [0, 0]]',
+        '[[1], [0, 0]]',
+        '[[], [1, 0], [0]]',
+        '[1, 0]',
+        '[[1, 0], "10"]',
+        '[[1, 0], {"1": 0, "0": 0}]',
+        '[[[1], 0], [0, 0]]',
+        '[[1, 0], [[0, 0], 0]]',
+        '[[1, 0], [{}, 0]]',
+        '"1010"',
+        '{"10": 1, "00": 1}',
+        '5',
+        'null',
+    ])
+    def test_rejects_non_numeric_pairs(self, coefficients):
+        text = '{"n": 1, "coefficients": ' + coefficients + "}"
+        with pytest.raises(SpinentError) as caught:
+            parse_state(text)
+        assert str(caught.value) == PAIRS_MESSAGE
+
+    @pytest.mark.parametrize("coefficients, k", [
+        ('[[1' + "0" * 400 + ', 0], [0, 0]]', 0),
+        ('[[0, 0], [0, -1' + "0" * 400 + ']]', 1),
+        ('[[1, 0], [0, 0], [1' + "0" * 309 + ', 1]]', 2),
+    ])
+    def test_names_the_overflowing_coefficient(self, coefficients, k):
+        text = '{"n": 2, "coefficients": ' + coefficients + "}"
+        with pytest.raises(SpinentError) as caught:
+            parse_state(text)
+        assert str(caught.value) == f"coefficient {k} exceeds float range"
+
+    @pytest.mark.parametrize("n, coefficients, renormalize", [
+        (1, [[0.6, -0.0], [-0.0, 0.8]], False),
+        (3, [[True, -0.0], [0, False], [5e-324, -5e-324], [0, 0]], False),
+        (2, [[1, 2], [-3, 2 ** 70 + 1], [1e150, -1e-300]], True),
+        (2, [[0.1, 0.2], [0.3, 0.4], [-0.5, 0.6]], True),
+    ])
+    def test_values_match_complex_pairs(self, n, coefficients, renormalize):
+        doc = {"n": n, "coefficients": coefficients,
+               "renormalize": renormalize}
+        state = parse_state(json.dumps(doc))
+        expected = custom_state(
+            n, [complex(re, im) for re, im in coefficients], renormalize)
+        assert state.coefficients.tobytes() == \
+            expected.coefficients.tobytes()
+
+    def test_empty_list_is_a_length_error(self):
+        with pytest.raises(SpinentError, match="expected 2 coefficients"):
+            parse_state('{"n": 1, "coefficients": []}')

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from spinent import (
     Classification,
     CoherentSpec,
+    DegenerateMeanSpinError,
     DickeState,
     DimensionCapError,
     FullState,
@@ -20,18 +21,27 @@ from spinent import (
     SpinentError,
     WrongAtomCountError,
     analyze,
+    build_frame,
     coherent_state,
+    correlation_terms,
     custom_state,
     dicke_state,
     dicke_to_full,
+    entanglement_parameter,
     full_to_dicke,
+    mean_spin,
     oracle_metrics,
     pairwise_correlators,
     random_state,
+    rotation_matrix,
     schmidt_rank_two_atoms,
     single_atom_action,
     single_atom_operator,
+    spectroscopic_parameters,
+    squeezing_parameters,
+    twisted_state,
 )
+from spinent.dicke import CollectiveMoments
 from spinent.oracle import _real_expectation
 
 SQRT3 = math.sqrt(3.0)
@@ -275,7 +285,7 @@ class TestOracleMetrics:
         assert abs(total - oracle.report.var_xp) < 1e-10
 
     def test_peak_memory_is_a_few_vectors(self):
-        # O(2**N): a fixed number of complex 2**N vectors, below 24, not a
+        # O(2**N): a fixed number of complex 2**N vectors, below 12, not a
         # number growing with N (3N single-atom actions are 36 at N = 12).
         n = 12
         full = dicke_to_full(random_state(n, np.random.default_rng(3300)))
@@ -287,7 +297,7 @@ class TestOracleMetrics:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 16 * (1 << n)
+        assert peak < 12 * 16 * (1 << n)
 
     def test_single_atom_state_rejected(self):
         with pytest.raises(InsufficientAtomsError):
@@ -299,6 +309,92 @@ class TestOracleMetrics:
         full = dicke_to_full(DickeState(15, coeffs), cap=15)
         with pytest.raises(DimensionCapError):
             oracle_metrics(full)
+
+
+def _brute_force(full):
+    """Every OracleReport field, from 3N separately stored public actions.
+
+    Returns (moments, correlators, per-atom x'/y' variances, variances);
+    the last two are None for a degenerate frame.
+    """
+    n, amps = full.n_atoms, full.amplitudes
+    actions = [[single_atom_action(amps, n, i, axis) for axis in "xyz"]
+               for i in range(n)]
+    lab = [sum(actions[i][a] for i in range(n)) for a in range(3)]
+
+    def real(bra, ket):
+        return complex(np.vdot(bra, ket)).real
+
+    moments = CollectiveMoments(
+        *[real(amps, vec) for vec in lab],
+        *[real(vec, vec) for vec in lab],
+        *[2.0 * real(lab[a], lab[b]) for a, b in ((0, 1), (0, 2), (1, 2))])
+    correlators = {a + b: real(actions[0]["xyz".index(a)],
+                               actions[1]["xyz".index(b)])
+                   for a, b in ("xx", "yy", "zz", "xy", "xz", "yz")}
+    try:
+        frame = build_frame(mean_spin(moments))
+    except DegenerateMeanSpinError:
+        return moments, correlators, None, None
+
+    def variance(vectors, axis):
+        acted = sum(c * vec for c, vec in zip(axis, vectors))
+        return real(acted, acted) - real(amps, acted) ** 2
+
+    axes = rotation_matrix(frame)[:2]
+    per_atom = [[variance(actions[i], axis) for i in range(n)]
+                for axis in axes]
+    return (moments, correlators, per_atom,
+            [variance(lab, axis) for axis in axes])
+
+
+class TestBruteForceReference:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_every_field_matches(self, n):
+        rng = np.random.default_rng(4000 + n)
+        states = [random_state(n, rng) for _ in range(3)]
+        states += [coherent_state(CoherentSpec(n, 1.1, 0.4)),
+                   twisted_state(CoherentSpec(n, 0.7, 2.0), 0.3)]
+        if n % 2 == 0:
+            states.append(dicke_state(n, 0))
+        fulls = [dicke_to_full(state) for state in states]
+        # Without exchange symmetry every atom has its own variances.
+        for _ in range(2):
+            raw = rng.standard_normal((1 << n, 2)) @ [1.0, 1j]
+            fulls.append(FullState(n, raw / np.linalg.norm(raw)))
+        for full in fulls:
+            oracle = oracle_metrics(full)
+            moments, correlators, per_atom, variances = _brute_force(full)
+
+            def close(ours, theirs):
+                assert abs(ours - theirs) <= 1e-12 * max(1.0, abs(theirs))
+
+            for name in moments.__dataclass_fields__:
+                close(getattr(oracle.moments, name), getattr(moments, name))
+            for name, value in correlators.items():
+                close(getattr(oracle.correlators, name), value)
+            if variances is None:
+                assert oracle.frame is None
+                assert oracle.per_atom_var_xp is None
+                assert oracle.report.var_xp is None
+                continue
+            for ours, theirs in zip(
+                    (oracle.per_atom_var_xp, oracle.per_atom_var_yp),
+                    per_atom):
+                assert len(ours) == n
+                for value, expected in zip(ours, theirs):
+                    close(value, expected)
+            corr = correlation_terms(*variances, n)
+            q = squeezing_parameters(*variances, n)
+            expected = dict(
+                zip(("var_xp", "var_yp"), variances),
+                **dict(zip(("corr_x", "corr_y"), corr)),
+                s_param=entanglement_parameter(*corr),
+                **dict(zip(("q_x", "q_y"), q)),
+                **dict(zip(("xi_rx", "xi_ry"), spectroscopic_parameters(
+                    *q, mean_spin(moments).magnitude, n))))
+            for name, value in expected.items():
+                close(getattr(oracle.report, name), value)
 
 
 class TestResidueCheck:
