@@ -4,9 +4,10 @@ symmetric pure states of N two-level atoms.
 The library computes, for any exchange-symmetric pure state, the rotated
 transverse spin variances in the mean-spin-aligned frame, the squeezing
 parameters Q and spectroscopic parameters xi_R, and the pairwise-correlation
-entanglement parameter S, which is zero if and only if the state is a
-product state.  A brute-force 2**N tensor-product oracle independently
-recomputes every quantity for cross-validation.
+entanglement parameter S.  S > 0 certifies entanglement; S = 0 does not
+rule it out, and S depends on the choice of transverse axes.  A brute-force
+2**N tensor-product oracle independently recomputes every quantity for
+cross-validation.
 """
 
 from .dicke import (

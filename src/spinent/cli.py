@@ -223,7 +223,8 @@ def _cmd_oracle_check(args) -> int:
         for _ in range(args.trials):
             state = random_state(n, rng)
             ladder = analyze(state)
-            oracle = oracle_metrics(dicke_to_full(state, cap=args.cap))
+            oracle = oracle_metrics(dicke_to_full(state, cap=args.cap),
+                                    cap=args.cap)
             sides = ((ladder.moments, oracle.moments),
                      (_correlators_from_moments(n, ladder.moments),
                       oracle.correlators),

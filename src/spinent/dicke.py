@@ -20,6 +20,7 @@ that grows with N, so it is dropped unchecked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,25 +43,58 @@ def _check_norm(amplitudes: np.ndarray) -> float:
     return norm2
 
 
+def _unit_vector(amplitudes: np.ndarray) -> np.ndarray:
+    """amplitudes rescaled to unit norm, or NormalizationError saying why not.
+
+    Divided by a power of two near the largest real or imaginary part first,
+    so that the norm neither overflows nor underflows whatever the scale of
+    the input.  That division is exact, so an input the plain norm handles
+    keeps its bits.
+    """
+    largest = float(np.max(np.abs([amplitudes.real, amplitudes.imag]),
+                           initial=0.0))
+    if math.isnan(largest):
+        raise NormalizationError("cannot renormalize a NaN amplitude")
+    if math.isinf(largest):
+        raise NormalizationError("cannot renormalize an infinite amplitude")
+    if largest == 0.0:
+        raise NormalizationError("cannot renormalize the zero vector")
+    scale = math.ldexp(0.5, math.frexp(largest)[1])
+    # Part by part: numpy's complex division would take 1/scale, which
+    # overflows for a subnormal scale.
+    scaled = np.empty_like(amplitudes)
+    scaled.real = amplitudes.real / scale
+    scaled.imag = amplitudes.imag / scale
+    return scaled / np.linalg.norm(scaled)
+
+
+def _atom_count(n_atoms) -> int:
+    """n_atoms as an int; LengthMismatchError unless a positive integer."""
+    if not isinstance(n_atoms, (int, np.integer)) or n_atoms < 1:
+        raise LengthMismatchError(
+            f"n_atoms must be a positive integer, got {n_atoms!r}")
+    return int(n_atoms)
+
+
 def _freeze_amplitudes(state, field: str, dimension: Callable[[int], int]):
     """Validate n_atoms and the amplitude vector, storing both read-only.
 
     Serves DickeState and FullState; dimension maps N to the vector length.
     """
-    n = state.n_atoms
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise LengthMismatchError(
-            f"n_atoms must be a positive integer, got {n!r}")
+    n = _atom_count(state.n_atoms)
     arr = np.array(getattr(state, field), dtype=complex)
-    expected = dimension(int(n))
+    expected = dimension(n)
     if arr.shape != (expected,):
         raise LengthMismatchError(
             f"expected {expected} {field} for n_atoms={n}, "
             f"got shape {arr.shape}")
-    _check_norm(arr)
+    # A square past the float range reads inf and is rejected as such; only
+    # unvalidated input can get there, so the warning is silenced here.
+    with np.errstate(over="ignore"):
+        _check_norm(arr)
     arr.setflags(write=False)
     object.__setattr__(state, field, arr)
-    object.__setattr__(state, "n_atoms", int(n))
+    object.__setattr__(state, "n_atoms", n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +133,7 @@ class DickeState:
         Renormalization is never applied implicitly anywhere in the library;
         this is the one explicit way to absorb small norm drift.
         """
-        norm = float(np.linalg.norm(self.coefficients))
-        return DickeState(self.n_atoms, self.coefficients / norm)
+        return DickeState(self.n_atoms, _unit_vector(self.coefficients))
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,15 @@ deviations from the uncorrelated value N/4,
 
     corr_x = var_xp - N/4,    corr_y = var_yp - N/4,
 
-vanish simultaneously exactly on product states, and
+vanish simultaneously on product states, and
 
     S = (corr_x**2 + corr_y**2) / 2
 
-is therefore zero if and only if the (frame-nondegenerate) symmetric pure
-state is a product state; any S > 0 certifies entanglement.  S is exposed
+is therefore zero there; any S > 0 certifies entanglement of a
+(frame-nondegenerate) symmetric pure state.  S = 0 does not rule it out:
+custom_state(3, [1, 0, 0, 0.5], renormalize=True) is entangled, yet gets
+S = 0.0.  S also depends on the choice of transverse axes: a rotation about
+the mean spin can change it.  S is exposed
 through four algebraically identical routes (from corr, from the variances,
 from the squeezing parameters Q, and from the spectroscopic parameters xi)
 plus an independent pairwise-correlator evaluation used for cross-checks.
@@ -141,7 +144,11 @@ def correlation_terms_pairwise(state: DickeState,
 
 
 def entanglement_parameter(corr_x: float, corr_y: float) -> float:
-    """S = (corr_x**2 + corr_y**2) / 2; zero exactly on product states."""
+    """S = (corr_x**2 + corr_y**2) / 2.
+
+    Zero on product states, so S > 0 certifies entanglement; S = 0 does not
+    rule it out, and S depends on the choice of transverse axes.
+    """
     return 0.5 * (corr_x * corr_x + corr_y * corr_y)
 
 

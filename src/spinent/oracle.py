@@ -25,7 +25,6 @@ that allocates a 2**N vector takes an overridable cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -90,12 +89,13 @@ class OracleReport:
     report: MetricsReport
 
 
-def _hamming_weights(n_atoms: int) -> np.ndarray:
-    # weights[b] = number of set bits of b, built by doubling.
-    w = np.zeros(1, dtype=np.intp)
+def _orbits(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    # The orbit k of every basis index b (its set bits, built by doubling),
+    # and the orbit sizes C(N, k).
+    weights = np.zeros(1, dtype=np.intp)
     for _ in range(n_atoms):
-        w = np.concatenate([w, w + 1])
-    return w
+        weights = np.concatenate([weights, weights + 1])
+    return weights, np.bincount(weights)
 
 
 def _check_cap(n_atoms: int, cap: int):
@@ -112,11 +112,10 @@ def dicke_to_full(state: DickeState,
     a basis state with k lower-level atoms receives c_k / sqrt(C(N, k)).
     """
     _check_cap(state.n_atoms, cap)
-    n = state.n_atoms
-    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    weights, sizes = _orbits(state.n_atoms)
     # Divided before the gather, so that only the gather is 2**N long.
-    per_orbit = state.coefficients / np.sqrt(binom)
-    return FullState(n, per_orbit[_hamming_weights(n)])
+    return FullState(state.n_atoms,
+                     (state.coefficients / np.sqrt(sizes))[weights])
 
 
 def full_to_dicke(state: FullState, tolerance: float = _SYMMETRY_TOLERANCE
@@ -124,21 +123,20 @@ def full_to_dicke(state: FullState, tolerance: float = _SYMMETRY_TOLERANCE
     """Project a full product-basis state back to ladder-basis coefficients.
 
     Requires genuine exchange symmetry: within every fixed-excitation orbit
-    all amplitudes must agree within tolerance of their mean.
+    all amplitudes must agree within tolerance of their mean.  The error
+    names the orbit holding the largest deviation.
     """
-    n = state.n_atoms
-    weights = _hamming_weights(n)
-    coeffs = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        orbit = state.amplitudes[weights == k]
-        center = orbit.mean()
-        spread = float(np.max(np.abs(orbit - center)))
-        if spread > tolerance:
-            raise NotSymmetricError(
-                f"orbit with {k} excited lower levels has amplitude spread "
-                f"{spread:.3e}, above {tolerance:.3e}")
-        coeffs[k] = center * math.sqrt(math.comb(n, k))
-    return DickeState(n, coeffs)
+    weights, sizes = _orbits(state.n_atoms)
+    amps = state.amplitudes
+    centers = (np.bincount(weights, amps.real)
+               + 1j * np.bincount(weights, amps.imag)) / sizes
+    deviation = np.abs(amps - centers[weights])
+    worst = int(np.argmax(deviation))
+    if deviation[worst] > tolerance:
+        raise NotSymmetricError(
+            f"orbit with {weights[worst]} excited lower levels has amplitude "
+            f"spread {deviation[worst]:.3e}, above {tolerance:.3e}")
+    return DickeState(state.n_atoms, centers * np.sqrt(sizes))
 
 
 def _level_actions(amplitudes: np.ndarray, atom_index: int,

@@ -8,9 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dicke import DickeState, _m_of
-from .errors import InvalidQuantumNumberError, LengthMismatchError, \
-    NormalizationError, SpinentError
+from .dicke import DickeState, _atom_count, _m_of, _unit_vector
+from .errors import InvalidQuantumNumberError, SpinentError
 
 _M_TOLERANCE = 1e-9
 
@@ -27,10 +26,7 @@ class CoherentSpec:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n_atoms, (int, np.integer)) \
-                or self.n_atoms < 1:
-            raise LengthMismatchError(
-                f"n_atoms must be a positive integer, got {self.n_atoms!r}")
+        _atom_count(self.n_atoms)
         if not 0.0 <= self.theta <= math.pi:
             raise SpinentError(
                 f"theta must lie in [0, pi], got {self.theta!r}")
@@ -79,7 +75,7 @@ def dicke_state(n_atoms: int, m: float) -> DickeState:
 
     m must match one of j, j-1, ..., -j within 1e-9.
     """
-    j = n_atoms / 2.0
+    j = _atom_count(n_atoms) / 2.0
     k = j - m
     # Negated, with round() last, so that a NaN or infinite m fails it.
     if not (-0.5 < k < n_atoms + 0.5 and abs(k - round(k)) <= _M_TOLERANCE):
@@ -110,19 +106,16 @@ def custom_state(n_atoms: int, coefficients: Sequence[complex],
     """State from explicit coefficients, optionally rescaled to unit norm.
 
     Without the flag the squared magnitudes must already sum to 1 within
-    1e-6; nothing is ever rescaled silently.
+    1e-6; nothing is ever rescaled silently.  With it, any finite nonzero
+    vector is rescaled, and a zero, infinite or NaN one is refused by name.
     """
     arr = np.asarray(coefficients, dtype=complex)
-    if renormalize:
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise NormalizationError("cannot renormalize the zero vector")
-        arr = arr / norm
-    return DickeState(n_atoms, arr)
+    return DickeState(n_atoms, _unit_vector(arr) if renormalize else arr)
 
 
 def random_state(n_atoms: int, rng: np.random.Generator) -> DickeState:
     """Normalized state with independent complex Gaussian coefficients."""
+    _atom_count(n_atoms)
     raw = rng.standard_normal(n_atoms + 1) + 1j * rng.standard_normal(
         n_atoms + 1)
     return DickeState(n_atoms, raw / np.linalg.norm(raw))

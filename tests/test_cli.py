@@ -25,6 +25,7 @@ from spinent.io import (
 )
 
 SQRT3 = math.sqrt(3.0)
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def run(argv, capsys):
@@ -135,6 +136,31 @@ class TestMakeState:
         assert err == ""
         state = parse_state(out)
         assert state.n_atoms == 2000
+
+    @pytest.mark.parametrize("coeff", ["1e300", "1e-200"])
+    def test_renormalize_at_extreme_scale(self, coeff, capsys):
+        code, out, err = run_strict(["make-state", "custom", "--n", "1",
+                                     "--renormalize", "--coeffs", coeff,
+                                     coeff], capsys)
+        assert (code, err) == (0, "")
+        assert parse_state(out).coefficients.tolist() == [INV_SQRT2] * 2
+
+    @pytest.mark.parametrize("coeffs,cause", [
+        (["inf", "0"], "infinite"), (["nan", "1"], "NaN"),
+        (["0", "0"], "zero vector")])
+    def test_renormalize_rejects_by_cause(self, coeffs, cause, capsys):
+        code, out, err = run_strict(["make-state", "custom", "--n", "1",
+                                     "--renormalize", "--coeffs", *coeffs],
+                                    capsys)
+        assert_input_error(code, out, err)
+        assert cause in err
+
+    def test_overflowing_norm_is_one_error_line(self, capsys):
+        code, out, err = run_strict(["make-state", "custom", "--n", "1",
+                                     "--coeffs", "1e300", "1e300"], capsys)
+        assert_input_error(code, out, err)
+        assert err == ("spinent: error: squared amplitude magnitudes sum to "
+                       "inf, more than 1e-06 away from 1\n")
 
 
 class TestAnalyze:
@@ -410,6 +436,13 @@ class TestOracleCheck:
         _, first, _ = run(argv, capsys)
         _, second, _ = run(argv, capsys)
         assert first == second
+
+    def test_cap_raised_past_default(self, capsys):
+        code, out, _ = run(["oracle-check", "--n", "15", "--cap", "15",
+                            "--trials", "1"], capsys)
+        assert code == 0
+        assert "cap 15" in out
+        assert "result: PASS" in out
 
     def test_cap_exceeded_exit_1(self, capsys):
         code, _, err = run(["oracle-check", "--n", "20"], capsys)

@@ -145,6 +145,45 @@ class TestBasisMaps:
         back = full_to_dicke(dicke_to_full(state))
         assert_allclose(back.coefficients, state.coefficients, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_expansion_bit_identical_to_embed(self, n):
+        rng = np.random.default_rng(2000 + n)
+        for state in (random_state(n, rng),
+                      coherent_state(CoherentSpec(n, 1.1, 0.4)),
+                      dicke_state(n, n / 2.0 - n // 3)):
+            assert np.array_equal(dicke_to_full(state).amplitudes,
+                                  _embed(state.coefficients, n))
+
+    def test_rejection_names_the_widest_orbit(self):
+        # Orbit 1 is off by 0.1, orbit 2 by more; the error names orbit 2.
+        amps = _embed(coherent_state(CoherentSpec(3, 1.0)).coefficients, 3)
+        amps[0b001] += 0.1
+        amps[0b100] -= 0.1
+        amps[0b011] += 0.2
+        amps[0b101] -= 0.2
+        with pytest.raises(NotSymmetricError,
+                           match="orbit with 2 excited lower levels"):
+            full_to_dicke(FullState(3, amps / np.linalg.norm(amps)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_rejects_as_the_per_orbit_loop(self, n):
+        # Perturbations straddling the 1e-10 tolerance: full_to_dicke must
+        # accept exactly when a per-orbit loop finds every spread within it.
+        rng = np.random.default_rng(3000 + n)
+        weights = _weights(n)
+        for size in np.geomspace(1e-11, 1e-9, 12):
+            amps = _embed(random_state(n, rng).coefficients, n)
+            amps = amps + size * (rng.standard_normal(amps.size)
+                                  + 1j * rng.standard_normal(amps.size))
+            amps /= np.linalg.norm(amps)
+            spread = max(np.max(np.abs(orbit - orbit.mean())) for orbit in
+                         (amps[weights == k] for k in range(n + 1)))
+            if spread > 1e-10:
+                with pytest.raises(NotSymmetricError):
+                    full_to_dicke(FullState(n, amps))
+            else:
+                full_to_dicke(FullState(n, amps))
+
     def test_rejects_antisymmetric_state(self):
         singlet = FullState(2, [0.0, INV_SQRT2, -INV_SQRT2, 0.0])
         with pytest.raises(NotSymmetricError):

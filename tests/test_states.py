@@ -10,6 +10,7 @@ from spinent import (
     NORM_TOLERANCE,
     Classification,
     CoherentSpec,
+    DickeState,
     InvalidQuantumNumberError,
     LengthMismatchError,
     NormalizationError,
@@ -26,6 +27,7 @@ from spinent import (
 )
 
 SQRT3 = math.sqrt(3.0)
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def exact_coherent(n, theta, phi):
@@ -202,6 +204,57 @@ class TestCustomState:
     def test_complex_coefficients_pass_through(self):
         state = custom_state(2, [0.6, 0.0, 0.8j])
         assert state.coefficients[2] == 0.8j
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-200, 5e-324])
+    def test_renormalize_at_any_finite_scale(self, scale):
+        state = custom_state(1, [scale, scale * 1j], renormalize=True)
+        assert_allclose(state.coefficients, [INV_SQRT2, 1j * INV_SQRT2],
+                        rtol=1e-15)
+
+    def test_renormalize_does_not_overflow_a_magnitude(self):
+        # |1.7e308 (1 + i)| is past the float range; its parts are not.
+        state = custom_state(1, [1.7e308 + 1.7e308j, 1.7e308],
+                             renormalize=True)
+        assert_allclose(state.coefficients,
+                        np.array([1 + 1j, 1]) / SQRT3, rtol=1e-15)
+
+    @pytest.mark.parametrize("coefficients,cause", [
+        ([math.inf, 0.0], "infinite"),
+        ([complex(0.0, -math.inf), 1.0], "infinite"),
+        ([math.nan, 1.0], "NaN"),
+        ([complex(math.inf, math.nan), 0.0], "NaN"),
+        ([0.0, 0.0], "zero vector")])
+    def test_renormalize_names_the_cause(self, coefficients, cause):
+        with pytest.raises(NormalizationError, match=cause):
+            custom_state(1, coefficients, renormalize=True)
+
+    def test_renormalized_shares_the_rescaling(self):
+        coefficients = [0.36 + 0.48j, 0.0, 0.8 + 4e-7]
+        drifted = DickeState(2, coefficients)
+        rescaled = custom_state(2, coefficients, renormalize=True)
+        assert drifted.renormalized().coefficients.tobytes() \
+            == rescaled.coefficients.tobytes()
+
+
+class TestAtomCount:
+    # Every factory and spec raises the same SpinentError for a count that
+    # is not a positive integer, before numpy sees it.
+    @pytest.mark.parametrize("build", [
+        lambda: dicke_state(2.5, 1.25),
+        lambda: dicke_state(3.0, 0.5),
+        lambda: dicke_state(0, 0.0),
+        lambda: random_state(3.0, np.random.default_rng(0)),
+        lambda: random_state(-1, np.random.default_rng(0)),
+        lambda: CoherentSpec(2.0, 0.5),
+        lambda: DickeState(2.0, [1.0, 0.0, 0.0])])
+    def test_non_integer_count_is_a_length_error(self, build):
+        with pytest.raises(LengthMismatchError,
+                           match="n_atoms must be a positive integer"):
+            build()
+
+    def test_numpy_integer_count_accepted(self):
+        state = dicke_state(np.int64(3), 0.5)
+        assert state.n_atoms == 3 and type(state.n_atoms) is int
 
 
 def test_random_state_is_normalized():
