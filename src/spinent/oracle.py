@@ -6,10 +6,10 @@ it shares no reduction formula with the ladder-basis modules.  Basis index
 b has atom i stored in bit (N-1-i), atom 0 being the most significant bit,
 with bit value 0 for the upper level.  Atom i's 2x2 operators act on the
 middle axis of the (2**i, 2, 2**(N-1-i)) view, in O(2**N) memory.
-oracle_metrics makes its 2**N arrays once per call and reuses them for
-every atom: the state with the atom's level axis first (one vector), the
-gemm output (three) and the collective actions (three).  With numpy's
-fixed 128 KB ufunc buffer that is 0.56 MB at N=12 and 1.88 MB at N=14.
+oracle_metrics walks the atoms once, with six 2**N arrays: J+, J- and J_z
+on the state (J+ and J- become J_x and J_y in place), the state with one
+atom's level axis first, for that atom's 2x2 reduced density matrix, and
+the x' and y' actions; 0.40 MB at N=12 and 1.58 MB at N=14 (tracemalloc).
 
 Single-atom spin-1/2 actions on the levels |u> (bit 0) and |l> (bit 1),
 and the matrix on (|u>, |l>) of the component along a lab axis a:
@@ -48,6 +48,12 @@ _AXES = ("x", "y", "z")
 # The table's matrices in _AXES order, indexed [axis, out level, in level].
 _HALF_PAULI = 0.5 * np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
                               [[1, 0], [0, -1]]])
+
+# Atom 0's axis (a) times atom 1's (b), in PairCorrelators field order.
+_PAIR_OPERATORS = np.array([
+    np.kron(_HALF_PAULI[_AXES.index(f.name[0])],
+            _HALF_PAULI[_AXES.index(f.name[1])])
+    for f in fields(PairCorrelators)])
 
 # Schmidt-rank threshold on the smaller singular value of the 2x2 reshape.
 _SCHMIDT_TOLERANCE = 1e-10
@@ -90,11 +96,11 @@ class OracleReport:
 
 
 def _orbits(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    # The orbit k of every basis index b (its set bits, built by doubling),
-    # and the orbit sizes C(N, k).
-    weights = np.zeros(1, dtype=np.intp)
-    for _ in range(n_atoms):
-        weights = np.concatenate([weights, weights + 1])
+    # The orbit k of every basis index b (its set bits, built by doubling
+    # in place), and the orbit sizes C(N, k).
+    weights = np.zeros(1 << n_atoms, dtype=np.intp)
+    for k in range(n_atoms):
+        np.add(weights[:1 << k], 1, out=weights[1 << k:2 << k])
     return weights, np.bincount(weights)
 
 
@@ -139,46 +145,20 @@ def full_to_dicke(state: FullState, tolerance: float = _SYMMETRY_TOLERANCE
     return DickeState(state.n_atoms, centers * np.sqrt(sizes))
 
 
-def _level_actions(amplitudes: np.ndarray, atom_index: int,
-                   matrices: np.ndarray, level: np.ndarray,
-                   acted: np.ndarray) -> np.ndarray:
-    """k 2x2 matrices on one atom's levels as (k, 2**N), in one gemm.
-
-    level (2, 2**(N-1)) receives the amplitudes with the atom's level axis
-    first, and acted's leading 2k rows the actions in that level-major
-    order, which is basis order only for atom 0; they are returned as a view.
-    """
-    high = 1 << atom_index
-    np.copyto(level.reshape(2, high, -1),
-              amplitudes.reshape(high, 2, -1).transpose(1, 0, 2))
-    rows = acted[:2 * len(matrices)]
-    np.matmul(matrices.reshape(-1, 2), level, out=rows)
-    return rows.reshape(len(matrices), -1)
-
-
-def _basis_order(actions: np.ndarray, atom_index: int) -> np.ndarray:
-    # Level-major actions as a (k, 2**i, 2, rest) view in basis order.
-    return actions.reshape(len(actions), 2, 1 << atom_index, -1).transpose(
-        0, 2, 1, 3)
-
-
 def single_atom_action(amplitudes: np.ndarray, n_atoms: int, atom_index: int,
                        axis: str) -> np.ndarray:
     """Apply one atom's spin-1/2 component to a raw 2**N amplitude vector.
 
-    Matrix-free on the atom's level axis, per the table in the module
-    docstring.  Accepts unnormalized vectors so actions compose.
+    The component's 2x2 matrix (module docstring) acts on the atom's level
+    axis.  Accepts unnormalized vectors so actions compose.
     """
     if not 0 <= atom_index < n_atoms:
         raise IndexError(
             f"atom_index {atom_index} out of range for {n_atoms} atoms")
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    level = np.empty((2, amplitudes.size // 2), dtype=complex)
-    actions = _level_actions(amplitudes, atom_index,
-                             _HALF_PAULI[[_AXES.index(axis)]], level,
-                             np.empty_like(level))
-    return _basis_order(actions, atom_index).reshape(-1)
+    view = amplitudes.reshape(1 << atom_index, 2, -1)
+    return (_HALF_PAULI[_AXES.index(axis)] @ view).reshape(-1)
 
 
 def single_atom_operator(state: FullState, atom_index: int,
@@ -215,6 +195,22 @@ def _real_expectation(bra: np.ndarray, ket: np.ndarray) -> float:
     return val.real
 
 
+def _real_traces(operators: np.ndarray, densities: np.ndarray
+                 ) -> np.ndarray:
+    """Real tr(A rho), (k, m), under _real_expectation's residue rule with
+    the Frobenius norms |A| |rho| as the operand scale."""
+    values = np.einsum("kij,mji->km", operators, densities)
+    residue = np.abs(values.imag)
+    if not residue.max() <= _IMAG_TOLERANCE:
+        bound = _IMAG_RELATIVE * np.outer(
+            np.linalg.norm(operators, axis=(1, 2)),
+            np.linalg.norm(densities, axis=(1, 2)))
+        if not ((residue <= _IMAG_TOLERANCE) | (residue <= bound)).all():
+            raise SpinentError("Hermitian expectation has imaginary residue "
+                               f"{residue.max():.3e}")
+    return values.real
+
+
 def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
                    epsilon: float = DEFAULT_EPSILON,
                    s_tolerance: float = DEFAULT_S_TOLERANCE) -> OracleReport:
@@ -222,8 +218,9 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
 
     Collective operators are sums of the N single-atom actions; rotated
     variances come from applying the rotated collective operator directly,
-    never from the nine-moment expansion; pair correlators are direct
-    two-site expectations on atoms 0 and 1.
+    never from the nine-moment expansion.  Per-atom variances are traces
+    against each atom's 2x2 reduced density matrix, and pair correlators
+    traces against the 4x4 one of atoms 0 and 1.
     """
     _check_cap(state.n_atoms, cap)
     n = state.n_atoms
@@ -231,24 +228,33 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
         raise InsufficientAtomsError(
             f"oracle analysis needs at least 2 atoms, got {n}")
     amps = state.amplitudes
-    # The call's only 2**N arrays: psi level-major, the gemm rows, and lab.
+    # J+ psi, J- psi and J_z psi, then psi with one atom's level axis first.
+    lab = np.zeros((len(_AXES), amps.size), dtype=complex)
+    np.multiply(amps, n / 2 - _orbits(n)[0], out=lab[2])
     level = np.empty((2, amps.size // 2), dtype=complex)
-    acted = np.empty((2 * len(_HALF_PAULI), amps.size // 2), dtype=complex)
-    lab = np.empty((len(_HALF_PAULI), amps.size), dtype=complex)
-    # Atom 1's actions go to lab first; atom 0's come out in basis order.
-    np.copyto(lab.reshape(len(lab), 2, 2, -1), _basis_order(
-        _level_actions(amps, 1, _HALF_PAULI, level, acted), 1))
-    atom0 = _level_actions(amps, 0, _HALF_PAULI, level, acted)
-    # Field names pair atom 0's axis (atom0) with atom 1's (lab, so far).
-    correlators = PairCorrelators(**{
-        f.name: _real_expectation(atom0[_AXES.index(f.name[0])],
-                                  lab[_AXES.index(f.name[1])])
-        for f in fields(PairCorrelators)})
-    lab += atom0
-    for i in range(2, n):
-        target = lab.reshape(len(lab), 1 << i, 2, -1)
-        target += _basis_order(
-            _level_actions(amps, i, _HALF_PAULI, level, acted), i)
+    # rho[i, a, b] sums psi_a conj(psi_b) over the atoms other than i.
+    rho = np.empty((n, 2, 2), dtype=complex)
+    for i in range(n):
+        high = 1 << i
+        np.copyto(level.reshape(2, high, -1),
+                  amps.reshape(high, 2, -1).transpose(1, 0, 2))
+        upper, lower = level
+        # sigma+ = |u><l| and sigma- = |l><u| only move amplitudes: J+ psi
+        # gains the lower half in atom i's upper slot, J- psi the reverse.
+        lab[0].reshape(high, 2, -1)[:, 0] += lower.reshape(high, -1)
+        lab[1].reshape(high, 2, -1)[:, 1] += upper.reshape(high, -1)
+        rho[i, 0, 0] = np.vdot(upper, upper)
+        rho[i, 1, 1] = np.vdot(lower, lower)
+        rho[i, 1, 0] = np.vdot(upper, lower)
+    rho[:, 0, 1] = rho[:, 1, 0].conj()
+    # J_x = (J+ + J-)/2 and J_y = i(J- - J+)/2 = i(J- - J_x), in place.
+    lab[0] += lab[1]
+    lab[0] *= 0.5
+    lab[1] -= lab[0]
+    lab[1] *= 1j
+    pairs = amps.reshape(4, -1)
+    correlators = PairCorrelators(*_real_traces(
+        _PAIR_OPERATORS, (pairs @ pairs.conj().T)[None])[:, 0].tolist())
     # CollectiveMoments field order.  The sym_ab real parts go unchecked:
     # Im <Ja psi|Jb psi> is the commutator expectation, legitimately nonzero.
     moments = CollectiveMoments(
@@ -264,23 +270,17 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
         frame = variances = per_atom_xp = per_atom_yp = None
     else:
         axes = np.array(_transverse_axes(frame))
-        primed = np.einsum("ka,aij->kij", axes, _HALF_PAULI)
-
-        def variance(psi: np.ndarray, image: np.ndarray) -> float:
-            # Of the operator that takes psi to image.
-            mean = _real_expectation(psi, image)
-            return float(np.vdot(image, image).real) - mean * mean
-
-        # The gemm rows are free until the per-atom loop below.
-        rotated = acted[:2 * len(axes)].reshape(len(axes), -1)
-        np.matmul(axes, lab, out=rotated)
-        variances = tuple(variance(amps, vec) for vec in rotated)
-        # Both operands level-major for atom i, so nothing is permuted back.
-        level_psi = level.reshape(-1)
-        per_atom_xp, per_atom_yp = zip(*[
-            [variance(level_psi, vec)
-             for vec in _level_actions(amps, i, primed, level, acted)]
-            for i in range(n)])
+        # P, the table's matrix for x' and y'; <P^dag P> = <P^2> and <P> are
+        # traced for every atom at once.
+        primed = (axes @ _HALF_PAULI.reshape(3, 4)).reshape(2, 2, 2)
+        traces = _real_traces(np.concatenate((primed @ primed, primed)), rho)
+        per_atom_xp, per_atom_yp = (
+            tuple(row) for row in (traces[:2] - traces[2:] ** 2).tolist())
+        # Real axes mix the complex rows as a float gemm on their parts.
+        rotated = (axes @ lab.view(float)).view(complex)
+        variances = tuple(float(np.vdot(vec, vec).real)
+                          - _real_expectation(amps, vec) ** 2
+                          for vec in rotated)
 
     report = _assemble_report(n, variances, spin.magnitude, epsilon,
                               s_tolerance)

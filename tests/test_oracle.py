@@ -1,12 +1,17 @@
 """Brute-force 2**N path: operator actions, basis maps, full cross-check."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spinent
 from spinent import (
     Classification,
     CoherentSpec,
@@ -42,7 +47,7 @@ from spinent import (
     twisted_state,
 )
 from spinent.dicke import CollectiveMoments
-from spinent.oracle import _real_expectation
+from spinent.oracle import _real_expectation, _real_traces
 
 SQRT3 = math.sqrt(3.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -324,7 +329,7 @@ class TestOracleMetrics:
         assert abs(total - oracle.report.var_xp) < 1e-10
 
     def test_peak_memory_is_a_few_vectors(self):
-        # O(2**N): a fixed number of complex 2**N vectors, below 12, not a
+        # O(2**N): a fixed number of complex 2**N vectors, below 8, not a
         # number growing with N (3N single-atom actions are 36 at N = 12).
         n = 12
         full = dicke_to_full(random_state(n, np.random.default_rng(3300)))
@@ -336,7 +341,7 @@ class TestOracleMetrics:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 16 * (1 << n)
+        assert peak < 8 * 16 * (1 << n)
 
     def test_single_atom_state_rejected(self):
         with pytest.raises(InsufficientAtomsError):
@@ -388,17 +393,22 @@ def _brute_force(full):
 
 
 class TestBruteForceReference:
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", range(2, 14))
     def test_every_field_matches(self, n):
+        # N = 11..13, the sizes oracle-check is timed on, reach the narrow
+        # blocks of the last atoms; there one random symmetric and one
+        # non-symmetric state keep the 3N stored actions cheap.
         rng = np.random.default_rng(4000 + n)
-        states = [random_state(n, rng) for _ in range(3)]
-        states += [coherent_state(CoherentSpec(n, 1.1, 0.4)),
-                   twisted_state(CoherentSpec(n, 0.7, 2.0), 0.3)]
-        if n % 2 == 0:
-            states.append(dicke_state(n, 0))
+        small = n <= 10
+        states = [random_state(n, rng) for _ in range(3 if small else 1)]
+        if small:
+            states += [coherent_state(CoherentSpec(n, 1.1, 0.4)),
+                       twisted_state(CoherentSpec(n, 0.7, 2.0), 0.3)]
+            if n % 2 == 0:
+                states.append(dicke_state(n, 0))
         fulls = [dicke_to_full(state) for state in states]
         # Without exchange symmetry every atom has its own variances.
-        for _ in range(2):
+        for _ in range(2 if small else 1):
             raw = rng.standard_normal((1 << n, 2)) @ [1.0, 1j]
             fulls.append(FullState(n, raw / np.linalg.norm(raw)))
         for full in fulls:
@@ -456,6 +466,57 @@ class TestResidueCheck:
         assert _real_expectation(bra, ket) == 1e4
         with pytest.raises(SpinentError):
             _real_expectation(bra, np.array([100.0 + 1e-9j, 0.0]))
+
+
+class TestTraceResidueCheck:
+    def test_hermitian_pair_returns_real_part(self):
+        # tr(A rho) for each operator (rows) and density matrix (columns).
+        rho = np.array([[[0.75, 0.25j], [-0.25j, 0.25]],
+                        [[0.5, 0.0], [0.0, 0.5]]])
+        half_z = np.array([[[0.5, 0.0], [0.0, -0.5]]])
+        half_y = np.array([[[0.0, -0.5j], [0.5j, 0.0]]])
+        assert _real_traces(half_z, rho).tolist() == [[0.25, 0.0]]
+        assert _real_traces(half_y, rho).tolist() == [[-0.25, 0.0]]
+
+    @pytest.mark.parametrize("coherence", [0.5j, 1e-6j, complex("nanj")])
+    def test_non_hermitian_pair_raises(self, coherence):
+        # sigma+ is not Hermitian: its trace is the coherence rho[1, 0].
+        raising = np.array([[[0.0, 1.0], [0.0, 0.0]]])
+        rho = np.array([[[0.5, np.conj(coherence)], [coherence, 0.5]]])
+        with pytest.raises(SpinentError, match="imaginary residue"):
+            _real_traces(raising, rho)
+
+    def test_residue_scaled_to_operand_norms(self):
+        # A residue of 1e-9 is past the absolute 1e-10 but within 1e-12
+        # times |A| |rho| = 100 sqrt(2) * 100; 1e-7 is past both.
+        scaled = np.array([100.0 * np.eye(2)])
+        rho = np.array([[[100.0 + 1e-11j, 0.0], [0.0, 0.0]]])
+        assert _real_traces(scaled, rho).tolist() == [[1e4]]
+        with pytest.raises(SpinentError):
+            _real_traces(scaled, np.array([[[100.0 + 1e-9j, 0.0],
+                                            [0.0, 0.0]]]))
+
+    def test_one_bad_entry_raises(self):
+        # Every entry is checked, not only the largest operand's.
+        ops = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+        rho = np.array([[[0.5, 0.0], [0.0, 0.5]],
+                        [[0.5, -0.5j], [0.5j, 0.5]]])
+        with pytest.raises(SpinentError, match="imaginary residue 5.000e-01"):
+            _real_traces(ops, rho)
+
+
+def test_residue_checks_hold_under_python_O():
+    # Both residue checks are plain ifs, so python -O (which strips
+    # asserts from the package) must leave every case above passing.
+    here = Path(__file__).resolve()
+    src = Path(spinent.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here}::TestResidueCheck", f"{here}::TestTraceResidueCheck"],
+        capture_output=True, text=True, cwd=here.parents[1],
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "\n11 passed" in done.stdout
 
 
 class TestSchmidtRank:

@@ -74,3 +74,66 @@ def test_precision_is_the_only_environment_read():
 ])
 def test_environment_scan_finds_each_form(source, expected):
     assert _environment_reads_and_ctypes(ast.parse(source), "m") == expected
+
+
+def _names_from_dicke(tree):
+    """Names a spinent module takes from spinent.dicke, in source order.
+
+    A whole-module import (`from . import dicke`, `import spinent.dicke`)
+    reads as "dicke", and a star import as "*".
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["spinent" if node.level else "",
+                                            node.module]))
+            if module == "spinent.dicke":
+                found += [alias.name for alias in node.names]
+            elif module == "spinent":
+                found += [alias.name for alias in node.names
+                          if alias.name == "dicke"]
+        elif isinstance(node, ast.Import):
+            found += ["dicke" for alias in node.names
+                      if alias.name == "spinent.dicke"]
+    return found
+
+
+def test_oracle_imports_from_dicke_only_its_data_types():
+    # The oracle cross-checks the ladder path, so it may share its data
+    # types but none of its operator actions or moment formulas.
+    tree = ast.parse((SOURCE / "oracle.py").read_text(encoding="utf-8"))
+    assert sorted(_names_from_dicke(tree)) == sorted([
+        "DickeState", "CollectiveMoments", "PairCorrelators",
+        "_freeze_amplitudes"])
+
+
+def test_oracle_imports_no_ladder_function():
+    # Nor through another module: no dicke function but _freeze_amplitudes
+    # is among the names the oracle imports from anywhere.
+    dicke = ast.parse((SOURCE / "dicke.py").read_text(encoding="utf-8"))
+    ladder = {node.name for node in dicke.body
+              if isinstance(node, ast.FunctionDef)} - {"_freeze_amplitudes"}
+    assert {"collective_moments", "apply_jplus", "apply_jminus",
+            "_correlators_from_moments"} <= ladder
+    oracle = ast.parse((SOURCE / "oracle.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(oracle)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert ladder & imported == set()
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .dicke import DickeState, collective_moments\n",
+     ["DickeState", "collective_moments"]),
+    ("from spinent.dicke import apply_jplus\n", ["apply_jplus"]),
+    ("def f():\n    from .dicke import _correlators_from_moments\n",
+     ["_correlators_from_moments"]),
+    ("from .dicke import *\n", ["*"]),
+    ("from . import dicke, frame\n", ["dicke"]),
+    ("from spinent import dicke\n", ["dicke"]),
+    ("import spinent.dicke\n", ["dicke"]),
+    ("from .frame import mean_spin\nimport numpy\n", []),
+    ("from .dickens import apply_jz\n", []),
+])
+def test_dicke_scan_finds_each_form(source, expected):
+    assert _names_from_dicke(ast.parse(source)) == expected
