@@ -179,39 +179,47 @@ def _m_of(n_atoms: int) -> np.ndarray:
     return j - np.arange(n_atoms + 1)
 
 
-def _ladder_up(n_atoms: int, vec: np.ndarray) -> np.ndarray:
-    # J+ sends index k to k-1 (m -> m+1).
+def _ladder_factors(n_atoms: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m and the J+ and J- factors, the one place they are computed.
+
+    up[k] = sqrt(j(j+1) - m(m+1)) at m = m[k+1] and down[k] =
+    sqrt(j(j+1) - m(m-1)) at m = m[k], each of length N.
+    """
     j = n_atoms / 2.0
     m = _m_of(n_atoms)
-    out = np.zeros(n_atoms + 1, dtype=complex)
-    out[:-1] = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)) * vec[1:]
+    up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+    down = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1))
+    return m, up, down
+
+
+def _raise(up: np.ndarray, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # J+ sends index k to k-1 (m -> m+1).
+    np.multiply(up, vec[1:], out=out[:-1])
+    out[-1] = 0
     return out
+
+
+def _lower(down: np.ndarray, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # J- sends index k to k+1 (m -> m-1).
+    np.multiply(down, vec[:-1], out=out[1:])
+    out[0] = 0
+    return out
+
+
+def _ladder_up(n_atoms: int, vec: np.ndarray) -> np.ndarray:
+    return _raise(_ladder_factors(n_atoms)[1], vec,
+                  np.empty(n_atoms + 1, dtype=complex))
 
 
 def _ladder_down(n_atoms: int, vec: np.ndarray) -> np.ndarray:
-    # J- sends index k to k+1 (m -> m-1).
-    j = n_atoms / 2.0
-    m = _m_of(n_atoms)
-    out = np.zeros(n_atoms + 1, dtype=complex)
-    out[1:] = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1)) * vec[:-1]
-    return out
-
-
-def _z_apply(n_atoms: int, vec: np.ndarray) -> np.ndarray:
-    return _m_of(n_atoms) * vec
-
-
-def _x_apply(n_atoms: int, vec: np.ndarray) -> np.ndarray:
-    return 0.5 * (_ladder_up(n_atoms, vec) + _ladder_down(n_atoms, vec))
-
-
-def _y_apply(n_atoms: int, vec: np.ndarray) -> np.ndarray:
-    return -0.5j * (_ladder_up(n_atoms, vec) - _ladder_down(n_atoms, vec))
+    return _lower(_ladder_factors(n_atoms)[2], vec,
+                  np.empty(n_atoms + 1, dtype=complex))
 
 
 def apply_jz(state: DickeState) -> np.ndarray:
     """Coefficient vector of J_z applied to the state (not normalized)."""
-    return _z_apply(state.n_atoms, state.coefficients)
+    return state.m_values * state.coefficients
 
 
 def apply_jplus(state: DickeState) -> np.ndarray:
@@ -230,13 +238,32 @@ def collective_moments(state: DickeState) -> CollectiveMoments:
     Every expectation is evaluated by applying ladder combinations to the
     coefficient vector, O(N) work per operator application, and divided by
     the squared norm, so drift within NORM_TOLERANCE does not bias them.
+
+    m and the ladder factors are computed in one pass per call, and every
+    application writes into one block of six O(N) rows made for the call:
+    J_x psi, J_y psi, J_z psi, two ladder rows and one sum row.  Each row
+    gets the same floating-point operations, in the same order, as
+    applying J_x = (J+ + J-)/2, J_y = -i(J+ - J-)/2 and J_z = m one
+    operator at a time into fresh vectors, so the moments are the same to
+    the bit.
     """
     c = state.coefficients
     n = state.n_atoms
     norm2 = _check_norm(c)
-    xv = _x_apply(n, c)
-    yv = _y_apply(n, c)
-    zv = _z_apply(n, c)
+    m, up, down = _ladder_factors(n)
+    xv, yv, zv, a, b, total = np.empty((6, n + 1), dtype=complex)
+
+    def x_of(vec, out):
+        np.add(_raise(up, vec, a), _lower(down, vec, b), out=out)
+        return np.multiply(0.5, out, out=out)
+
+    def y_of(vec, out):
+        np.subtract(_raise(up, vec, a), _lower(down, vec, b), out=out)
+        return np.multiply(-0.5j, out, out=out)
+
+    x_of(c, xv)
+    y_of(c, yv)
+    np.multiply(m, c, out=zv)
     jx = float(np.vdot(c, xv).real)
     jy = float(np.vdot(c, yv).real)
     jz = float(np.vdot(c, zv).real)
@@ -244,9 +271,16 @@ def collective_moments(state: DickeState) -> CollectiveMoments:
     jx2 = float(np.vdot(xv, xv).real)
     jy2 = float(np.vdot(yv, yv).real)
     jz2 = float(np.vdot(zv, zv).real)
-    sym_xy = float(np.vdot(c, _x_apply(n, yv) + _y_apply(n, xv)).real)
-    sym_xz = float(np.vdot(c, _x_apply(n, zv) + _z_apply(n, xv)).real)
-    sym_yz = float(np.vdot(c, _y_apply(n, zv) + _z_apply(n, yv)).real)
+    # <AB + BA> = <psi|A(B psi) + B(A psi)>: A(B psi) goes to total first,
+    # then B(A psi) to row a, which the first no longer needs.
+    sym_xy = float(np.vdot(c, np.add(x_of(yv, total), y_of(xv, a),
+                                     out=total)).real)
+    sym_xz = float(np.vdot(c, np.add(x_of(zv, total),
+                                     np.multiply(m, xv, out=a),
+                                     out=total)).real)
+    sym_yz = float(np.vdot(c, np.add(y_of(zv, total),
+                                     np.multiply(m, yv, out=a),
+                                     out=total)).real)
     return CollectiveMoments(
         jx=jx / norm2, jy=jy / norm2, jz=jz / norm2,
         jx2=jx2 / norm2, jy2=jy2 / norm2, jz2=jz2 / norm2,

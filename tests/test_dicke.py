@@ -1,12 +1,16 @@
 """Ladder-basis state container, operator applications, and moments."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from spinent import (
+    CoherentSpec,
+    CollectiveMoments,
     DickeState,
     InsufficientAtomsError,
     LengthMismatchError,
@@ -14,16 +18,27 @@ from spinent import (
     apply_jminus,
     apply_jplus,
     apply_jz,
+    coherent_state,
     collective_moments,
+    dicke_state,
     pairwise_correlators,
     random_state,
+    twisted_state,
 )
-from spinent.dicke import _x_apply, _y_apply, _z_apply
+from spinent.dicke import _ladder_down, _ladder_up
 
 SQRT3 = math.sqrt(3.0)
 
 # (sqrt(3)/2)|1,1> + (1/2)|1,-1>, the reference two-atom entangled state.
 WORKED = DickeState(2, [SQRT3 / 2, 0.0, 0.5])
+
+
+def _jx(n, vec):
+    return 0.5 * (_ladder_up(n, vec) + _ladder_down(n, vec))
+
+
+def _jy(n, vec):
+    return -0.5j * (_ladder_up(n, vec) - _ladder_down(n, vec))
 
 
 def _unchecked(n_atoms, coefficients):
@@ -112,9 +127,10 @@ class TestLadderActions:
     @pytest.mark.parametrize("n", [2, 4, 7])
     def test_commutator_of_x_and_y_is_iz(self, n):
         rng = np.random.default_rng(200 + n)
-        c = random_state(n, rng).coefficients
-        comm = (_x_apply(n, _y_apply(n, c)) - _y_apply(n, _x_apply(n, c)))
-        assert_allclose(comm, 1j * _z_apply(n, c), atol=1e-12)
+        state = random_state(n, rng)
+        c = state.coefficients
+        comm = _jx(n, _jy(n, c)) - _jy(n, _jx(n, c))
+        assert_allclose(comm, 1j * state.m_values * c, atol=1e-12)
 
 
 class TestCollectiveMoments:
@@ -148,6 +164,110 @@ class TestCollectiveMoments:
         bad = _unchecked(2, [1.0, 1.0, 1.0])
         with pytest.raises(NormalizationError):
             collective_moments(bad)
+
+    def test_peak_memory_is_a_few_vectors(self):
+        # O(N): a fixed number of (N+1) complex vectors per call, below 8.
+        n = 100_000
+        state = coherent_state(CoherentSpec(n, 1.0, 0.3))
+        collective_moments(state)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            collective_moments(state)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * (n + 1)
+
+
+# The ladder formulas as they stood before collective_moments shared its
+# factors and buffers: m and every factor recomputed per application, and a
+# fresh vector for each result.  The library must match them bit for bit.
+
+def _reference_m(n):
+    j = n / 2.0
+    return j - np.arange(n + 1)
+
+
+def _reference_up(n, vec):
+    j = n / 2.0
+    m = _reference_m(n)
+    out = np.zeros(n + 1, dtype=complex)
+    out[:-1] = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)) * vec[1:]
+    return out
+
+
+def _reference_down(n, vec):
+    j = n / 2.0
+    m = _reference_m(n)
+    out = np.zeros(n + 1, dtype=complex)
+    out[1:] = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1)) * vec[:-1]
+    return out
+
+
+def _reference_x(n, vec):
+    return 0.5 * (_reference_up(n, vec) + _reference_down(n, vec))
+
+
+def _reference_y(n, vec):
+    return -0.5j * (_reference_up(n, vec) - _reference_down(n, vec))
+
+
+def _reference_z(n, vec):
+    return _reference_m(n) * vec
+
+
+def _reference_moments(state):
+    c = state.coefficients
+    n = state.n_atoms
+    norm2 = float(np.sum(np.abs(c) ** 2))
+    xv = _reference_x(n, c)
+    yv = _reference_y(n, c)
+    zv = _reference_z(n, c)
+    jx = float(np.vdot(c, xv).real)
+    jy = float(np.vdot(c, yv).real)
+    jz = float(np.vdot(c, zv).real)
+    jx2 = float(np.vdot(xv, xv).real)
+    jy2 = float(np.vdot(yv, yv).real)
+    jz2 = float(np.vdot(zv, zv).real)
+    sym_xy = float(np.vdot(c, _reference_x(n, yv)
+                           + _reference_y(n, xv)).real)
+    sym_xz = float(np.vdot(c, _reference_x(n, zv)
+                           + _reference_z(n, xv)).real)
+    sym_yz = float(np.vdot(c, _reference_y(n, zv)
+                           + _reference_z(n, yv)).real)
+    return CollectiveMoments(
+        jx=jx / norm2, jy=jy / norm2, jz=jz / norm2,
+        jx2=jx2 / norm2, jy2=jy2 / norm2, jz2=jz2 / norm2,
+        sym_xy=sym_xy / norm2, sym_xz=sym_xz / norm2, sym_yz=sym_yz / norm2)
+
+
+def _pin_corpus(n):
+    rng = np.random.default_rng(400 + n)
+    drifted = random_state(n, rng).coefficients * (1.0 + 3e-7)
+    return [
+        random_state(n, rng),
+        DickeState(n, drifted),
+        coherent_state(CoherentSpec(n, rng.uniform(0.0, math.pi),
+                                    rng.uniform(0.0, 2.0 * math.pi))),
+        twisted_state(CoherentSpec(n, rng.uniform(0.0, math.pi),
+                                   rng.uniform(0.0, 2.0 * math.pi)),
+                      rng.uniform(0.0, 0.5)),
+        dicke_state(n, n / 2.0 - int(rng.integers(n + 1))),
+    ]
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize(
+        "n", list(range(1, 41)) + [99, 100, 1000, 1234, 10_000])
+    def test_matches_the_per_application_formulas(self, n):
+        for state in _pin_corpus(n):
+            c = state.coefficients
+            assert dataclasses.astuple(collective_moments(state)) == \
+                dataclasses.astuple(_reference_moments(state))
+            assert np.array_equal(apply_jplus(state), _reference_up(n, c))
+            assert np.array_equal(apply_jminus(state), _reference_down(n, c))
+            assert np.array_equal(apply_jz(state), _reference_z(n, c))
 
 
 class TestPairwiseCorrelators:

@@ -114,15 +114,19 @@ class TestSingleAtomAction:
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_collective_sum_matches_ladder_action(self, axis):
-        from spinent.dicke import _x_apply, _y_apply, _z_apply
-        ladder = {"x": _x_apply, "y": _y_apply, "z": _z_apply}[axis]
+        from spinent.dicke import _ladder_down, _ladder_up
         n = 5
         rng = np.random.default_rng(55)
         state = random_state(n, rng)
+        c = state.coefficients
+        ladder = {
+            "x": lambda: 0.5 * (_ladder_up(n, c) + _ladder_down(n, c)),
+            "y": lambda: -0.5j * (_ladder_up(n, c) - _ladder_down(n, c)),
+            "z": lambda: state.m_values * c}[axis]
         collective = sum(
-            single_atom_action(_embed(state.coefficients, n), n, i, axis)
+            single_atom_action(_embed(c, n), n, i, axis)
             for i in range(n))
-        expected = _embed(ladder(n, state.coefficients), n)
+        expected = _embed(ladder(), n)
         assert_allclose(collective, expected, atol=1e-12)
 
 

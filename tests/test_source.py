@@ -76,6 +76,86 @@ def test_environment_scan_finds_each_form(source, expected):
     assert _environment_reads_and_ctypes(ast.parse(source), "m") == expected
 
 
+_CACHE_NAMES = {"cache", "lru_cache"}
+_BUFFER_NAMES = {"empty", "zeros", "ones",
+                 "empty_like", "zeros_like", "ones_like"}
+
+
+def _caches_and_import_time_buffers(tree, module):
+    """(place, what) for each functools cache and each array buffer made at
+    import time.
+
+    place is module:function for a cache on or in a function (a decorator
+    counts as its function's), module:line elsewhere.  A buffer counts only
+    where it is made once and then outlives every call: outside each
+    function body and lambda, or as a default argument.
+    """
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            # Defaults are evaluated once, where the function is defined.
+            visit(node.args, function)
+            inner = getattr(node, "name", "<lambda>")
+            for child in ast.iter_child_nodes(node):
+                if child is not node.args:
+                    visit(child, inner)
+            return
+        what = None
+        if isinstance(node, ast.Attribute) and node.attr in _CACHE_NAMES \
+                and ast.unparse(node.value) == "functools":
+            what = ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module == "functools" and \
+                _CACHE_NAMES & {alias.name for alias in node.names}:
+            what = "from functools import"
+        elif function is None and isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr in _BUFFER_NAMES and \
+                ast.unparse(node.func.value) in ("np", "numpy"):
+            what = ast.unparse(node.func)
+        if what:
+            found.append((f"{module}:{function or node.lineno}", what))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_buffers_live_for_one_call():
+    # Work vectors are made per call, so no cache or import-time array can
+    # hold memory between calls or be shared across threads; the parser
+    # builder is the one cache.  Constant tables built with np.array stay.
+    found = [item for path in sorted(SOURCE.glob("*.py"))
+             for item in _caches_and_import_time_buffers(
+                 ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert found == [("cli:_build_parser", "functools.cache")]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import functools\n@functools.lru_cache(maxsize=None)\ndef g():\n"
+     "    pass\n", [("m:g", "functools.lru_cache")]),
+    ("import functools\ndef f():\n    return functools.cache(len)\n",
+     [("m:f", "functools.cache")]),
+    ("from functools import cache, partial\n",
+     [("m:1", "from functools import")]),
+    ("import numpy as np\nbuf = np.zeros(8)\n", [("m:2", "np.zeros")]),
+    ("import numpy\nclass C:\n    buf = numpy.empty(4)\n",
+     [("m:3", "numpy.empty")]),
+    ("import numpy as np\ndef f(n=np.ones(2)):\n    pass\n",
+     [("m:2", "np.ones")]),
+    ("import numpy as np\ndef f(n):\n    return np.empty(n)\n", []),
+    ("import numpy as np\nmake = lambda n: np.zeros_like(n)\n", []),
+    ("import numpy as np\nTABLE = 0.5 * np.array([[0, 1], [1, 0]])\n", []),
+    ("import functools\nf = functools.partial(print, 1)\n", []),
+])
+def test_cache_and_buffer_scan_finds_each_form(source, expected):
+    assert _caches_and_import_time_buffers(ast.parse(source), "m") == \
+        expected
+
+
 def _names_from_dicke(tree):
     """Names a spinent module takes from spinent.dicke, in source order.
 
