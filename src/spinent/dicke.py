@@ -34,7 +34,9 @@ NORM_TOLERANCE = 1e-6
 
 def _check_norm(amplitudes: np.ndarray) -> float:
     """Squared norm of amplitudes; raises unless within NORM_TOLERANCE of 1."""
-    norm2 = float(np.sum(np.abs(amplitudes) ** 2))
+    # One float temporary, squared in place: bit for bit np.abs(a) ** 2.
+    magnitudes = np.abs(amplitudes)
+    norm2 = float(np.sum(np.square(magnitudes, out=magnitudes)))
     # Negated so that a NaN norm is rejected too.
     if not abs(norm2 - 1.0) <= NORM_TOLERANCE:
         raise NormalizationError(

@@ -6,10 +6,19 @@ it shares no reduction formula with the ladder-basis modules.  Basis index
 b has atom i stored in bit (N-1-i), atom 0 being the most significant bit,
 with bit value 0 for the upper level.  Atom i's 2x2 operators act on the
 middle axis of the (2**i, 2, 2**(N-1-i)) view, in O(2**N) memory.
-oracle_metrics walks the atoms once, with six 2**N arrays: J+, J- and J_z
-on the state (J+ and J- become J_x and J_y in place), the state with one
-atom's level axis first, for that atom's 2x2 reduced density matrix, and
-the x' and y' actions; 0.40 MB at N=12 and 1.58 MB at N=14 (tracemalloc).
+oracle_metrics walks the atoms once and takes its 2**N work memory as one
+(5, 2**N) block: J+, J- and J_z on the state (J+ and J- become J_x and J_y
+in place), the state's transpose, and a scratch row for, in turn, the state
+with one atom's level axis first (for that atom's 2x2 reduced density
+matrix), the J_z diagonal and the x' and y' actions.  One block rather than
+six arrays: with six, in a loop of calls, the memory one call freed went
+back to the OS and the next call faulted it in again (476 minor page faults
+per `oracle-check --n 13..14 --trials 1`, now none).  The first N//2 atoms
+are walked on the state, the rest on its (2**(N-N//2), 2**(N//2))
+transpose, where each level axis leads a block of 2**(N//2) amplitudes or
+more; the rest of the call works in that order.  The peak is 6.0 vectors of
+2**N, the block and numpy's buffers for one slice add: 0.40 MB at N=12 and
+1.58 MB at N=14 (tracemalloc).
 
 Single-atom spin-1/2 actions on the levels |u> (bit 0) and |l> (bit 1),
 and the matrix on (|u>, |l>) of the component along a lab axis a:
@@ -95,12 +104,19 @@ class OracleReport:
     report: MetricsReport
 
 
+def _count_bits(out: np.ndarray, first, step) -> np.ndarray:
+    # out[b] = first + step * (the set bits of b), built by doubling in
+    # place; out has 2**N entries.
+    out[0] = first
+    for k in range(out.size.bit_length() - 1):
+        np.add(out[:1 << k], step, out=out[1 << k:2 << k])
+    return out
+
+
 def _orbits(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    # The orbit k of every basis index b (its set bits, built by doubling
-    # in place), and the orbit sizes C(N, k).
-    weights = np.zeros(1 << n_atoms, dtype=np.intp)
-    for k in range(n_atoms):
-        np.add(weights[:1 << k], 1, out=weights[1 << k:2 << k])
+    # The orbit k of every basis index b (its set bits), and the orbit
+    # sizes C(N, k).
+    weights = _count_bits(np.empty(1 << n_atoms, dtype=np.intp), 0, 1)
     return weights, np.bincount(weights)
 
 
@@ -228,37 +244,64 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
         raise InsufficientAtomsError(
             f"oracle analysis needs at least 2 atoms, got {n}")
     amps = state.amplitudes
-    # J+ psi, J- psi and J_z psi, then psi with one atom's level axis first.
-    lab = np.zeros((len(_AXES), amps.size), dtype=complex)
-    np.multiply(amps, n / 2 - _orbits(n)[0], out=lab[2])
-    level = np.empty((2, amps.size // 2), dtype=complex)
+    # All 2**N work memory is one block per call.  Atoms 0..h-1 gather J+
+    # psi and J- psi in rows 0-1, with row 4 taking the level-first copy.
+    # Atoms h..N-1 gather them, transposed, in rows 2-3, with psi's
+    # transpose in row 0 and row 1 taking the copy.  Then row 4 takes J_z
+    # psi, rows 2-3 become J_x psi and J_y psi, and row 1 is scratch.
+    block = np.empty((5, amps.size), dtype=complex)
+    psi, spare, lab = block[0], block[1], block[2:]
     # rho[i, a, b] sums psi_a conj(psi_b) over the atoms other than i.
     rho = np.empty((n, 2, 2), dtype=complex)
-    for i in range(n):
-        high = 1 << i
-        np.copyto(level.reshape(2, high, -1),
-                  amps.reshape(high, 2, -1).transpose(1, 0, 2))
-        upper, lower = level
-        # sigma+ = |u><l| and sigma- = |l><u| only move amplitudes: J+ psi
-        # gains the lower half in atom i's upper slot, J- psi the reverse.
-        lab[0].reshape(high, 2, -1)[:, 0] += lower.reshape(high, -1)
-        lab[1].reshape(high, 2, -1)[:, 1] += upper.reshape(high, -1)
-        rho[i, 0, 0] = np.vdot(upper, upper)
-        rho[i, 1, 1] = np.vdot(lower, lower)
-        rho[i, 1, 0] = np.vdot(upper, lower)
+
+    def walk(vec, ladders, level, atoms, first):
+        # Atom i's level axis is bit i - first from the top of vec; level
+        # takes vec with that axis first.
+        for i in atoms:
+            high = 1 << (i - first)
+            np.copyto(level.reshape(2, high, -1),
+                      vec.reshape(high, 2, -1).transpose(1, 0, 2))
+            upper, lower = level.reshape(2, -1)
+            # sigma+ = |u><l| and sigma- = |l><u| only move amplitudes: J+
+            # psi gains the lower half in atom i's upper slot, J- psi the
+            # reverse.
+            ladders[0].reshape(high, 2, -1)[:, 0] += lower.reshape(high, -1)
+            ladders[1].reshape(high, 2, -1)[:, 1] += upper.reshape(high, -1)
+            rho[i, 0, 0] = np.vdot(upper, upper)
+            rho[i, 1, 1] = np.vdot(lower, lower)
+            rho[i, 1, 0] = np.vdot(upper, lower)
+
+    # The last atoms' level axes lead narrow blocks of psi, and numpy's
+    # slice adds over narrow blocks are slow; in psi's (2**(N-h), 2**h)
+    # transpose each leads 2**h amplitudes or more.  So atoms 0..h-1 are
+    # walked on psi, then J+ psi and J- psi move to that layout for atoms
+    # h..N-1, and the call stays there: what follows is inner products,
+    # blind to the basis order.
+    half = n // 2
+    shape = (1 << half, amps.size >> half)
+    block[:2] = 0
+    walk(amps, block[:2], block[4], range(half), 0)
+    np.copyto(lab[:2].reshape(2, *shape[::-1]),
+              block[:2].reshape(2, *shape).transpose(0, 2, 1))
+    np.copyto(psi.reshape(shape[::-1]), amps.reshape(shape).T)
+    walk(psi, lab, spare, range(half, n), half)
     rho[:, 0, 1] = rho[:, 1, 0].conj()
+    # J_z's diagonal n/2 - (set bits); the transpose only reorders bits.
+    diagonal = _count_bits(spare.view(float)[:amps.size], n / 2, -1.0)
+    np.multiply(psi, diagonal, out=lab[2])
     # J_x = (J+ + J-)/2 and J_y = i(J- - J+)/2 = i(J- - J_x), in place.
     lab[0] += lab[1]
     lab[0] *= 0.5
     lab[1] -= lab[0]
     lab[1] *= 1j
     pairs = amps.reshape(4, -1)
+    conj_pairs = np.conjugate(pairs, out=spare.reshape(4, -1))
     correlators = PairCorrelators(*_real_traces(
-        _PAIR_OPERATORS, (pairs @ pairs.conj().T)[None])[:, 0].tolist())
+        _PAIR_OPERATORS, (pairs @ conj_pairs.T)[None])[:, 0].tolist())
     # CollectiveMoments field order.  The sym_ab real parts go unchecked:
     # Im <Ja psi|Jb psi> is the commutator expectation, legitimately nonzero.
     moments = CollectiveMoments(
-        *[_real_expectation(amps, vec) for vec in lab],
+        *[_real_expectation(psi, vec) for vec in lab],
         *[float(np.vdot(vec, vec).real) for vec in lab],
         *[2.0 * float(np.vdot(lab[a], lab[b]).real)
           for a, b in ((0, 1), (0, 2), (1, 2))])
@@ -276,11 +319,13 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
         traces = _real_traces(np.concatenate((primed @ primed, primed)), rho)
         per_atom_xp, per_atom_yp = (
             tuple(row) for row in (traces[:2] - traces[2:] ** 2).tolist())
-        # Real axes mix the complex rows as a float gemm on their parts.
-        rotated = (axes @ lab.view(float)).view(complex)
-        variances = tuple(float(np.vdot(vec, vec).real)
-                          - _real_expectation(amps, vec) ** 2
-                          for vec in rotated)
+        # A real axis mixes the complex rows as a float gemv on their parts.
+        variances = []
+        for axis in axes:
+            np.matmul(axis, lab.view(float), out=spare.view(float))
+            variances.append(float(np.vdot(spare, spare).real)
+                             - _real_expectation(psi, spare) ** 2)
+        variances = tuple(variances)
 
     report = _assemble_report(n, variances, spin.magnitude, epsilon,
                               s_tolerance)
