@@ -12,10 +12,10 @@ operators.  The ladder operators act as
     J+- |j, m> = sqrt(j(j+1) - m(m +- 1)) |j, m +- 1>
 
 with the standard all-positive (Condon-Shortley) phase convention.  All
-second moments are obtained by applying ladder combinations to the
-coefficient vector, never by materializing operator matrices.  Each moment
-is the real part of a complex inner product; the imaginary part is rounding
-that grows with N, so it is dropped unchecked.
+moments are obtained by applying the ladder operators to the coefficient
+vector, never by materializing operator matrices.  Each moment is Re <a|b>
+for a and b the state or an operator applied to it, which is the dot
+product of the float views of a and b; imaginary parts are never formed.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ NORM_TOLERANCE = 1e-6
 
 def _check_norm(amplitudes: np.ndarray) -> float:
     """Squared norm of amplitudes; raises unless within NORM_TOLERANCE of 1."""
-    # One float temporary, squared in place: bit for bit np.abs(a) ** 2.
-    magnitudes = np.abs(amplitudes)
-    norm2 = float(np.sum(np.square(magnitudes, out=magnitudes)))
+    # |a|^2 summed is the float view dotted with itself: no temporary.
+    parts = amplitudes.view(float)
+    norm2 = float(parts @ parts)
     # Negated so that a NaN norm is rejected too.
     if not abs(norm2 - 1.0) <= NORM_TOLERANCE:
         raise NormalizationError(
@@ -181,30 +181,30 @@ def _m_of(n_atoms: int) -> np.ndarray:
     return j - np.arange(n_atoms + 1)
 
 
-def _ladder_factors(n_atoms: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """m and the J+ and J- factors, the one place they are computed.
+def _ladder_factors(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """m and the ladder factors, the one place they are computed.
 
-    up[k] = sqrt(j(j+1) - m(m+1)) at m = m[k+1] and down[k] =
-    sqrt(j(j+1) - m(m-1)) at m = m[k], each of length N.
+    ladder[k] = sqrt(j(j+1) - m(m+1)) at m = m[k+1], where m + 1 = m[k]
+    exactly.  That is J+'s factor from index k+1 to k and J-'s from k to
+    k+1: both are sqrt((k+1)(N-k)), so one array of length N serves both.
     """
     j = n_atoms / 2.0
     m = _m_of(n_atoms)
-    up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    down = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1))
-    return m, up, down
+    return m, np.sqrt(j * (j + 1) - m[1:] * m[:-1])
 
 
-def _raise(up: np.ndarray, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _raise(ladder: np.ndarray, vec: np.ndarray, out: np.ndarray
+           ) -> np.ndarray:
     # J+ sends index k to k-1 (m -> m+1).
-    np.multiply(up, vec[1:], out=out[:-1])
+    np.multiply(ladder, vec[1:], out=out[:-1])
     out[-1] = 0
     return out
 
 
-def _lower(down: np.ndarray, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _lower(ladder: np.ndarray, vec: np.ndarray, out: np.ndarray
+           ) -> np.ndarray:
     # J- sends index k to k+1 (m -> m-1).
-    np.multiply(down, vec[:-1], out=out[1:])
+    np.multiply(ladder, vec[:-1], out=out[1:])
     out[0] = 0
     return out
 
@@ -215,7 +215,7 @@ def _ladder_up(n_atoms: int, vec: np.ndarray) -> np.ndarray:
 
 
 def _ladder_down(n_atoms: int, vec: np.ndarray) -> np.ndarray:
-    return _lower(_ladder_factors(n_atoms)[2], vec,
+    return _lower(_ladder_factors(n_atoms)[1], vec,
                   np.empty(n_atoms + 1, dtype=complex))
 
 
@@ -237,56 +237,45 @@ def apply_jminus(state: DickeState) -> np.ndarray:
 def collective_moments(state: DickeState) -> CollectiveMoments:
     """All first and second collective-spin moments of a symmetric state.
 
-    Every expectation is evaluated by applying ladder combinations to the
-    coefficient vector, O(N) work per operator application, and divided by
-    the squared norm, so drift within NORM_TOLERANCE does not bias them.
-
-    m and the ladder factors are computed in one pass per call, and every
-    application writes into one block of six O(N) rows made for the call:
-    J_x psi, J_y psi, J_z psi, two ladder rows and one sum row.  Each row
-    gets the same floating-point operations, in the same order, as
-    applying J_x = (J+ + J-)/2, J_y = -i(J+ - J-)/2 and J_z = m one
-    operator at a time into fresh vectors, so the moments are the same to
-    the bit.
+    Each ladder move is applied to the coefficient vector once, O(N) work,
+    and every moment is an inner product of applied vectors, divided by the
+    squared norm so that drift within NORM_TOLERANCE does not bias it.  The
+    nine moments come from two real matrix products.  They agree with
+    applying J_x, J_y and J_z one operator at a time to within a few
+    rounding units of j(j+1), not to the bit: the products sum in BLAS's
+    order.
     """
     c = state.coefficients
     n = state.n_atoms
     norm2 = _check_norm(c)
-    m, up, down = _ladder_factors(n)
-    xv, yv, zv, a, b, total = np.empty((6, n + 1), dtype=complex)
-
-    def x_of(vec, out):
-        np.add(_raise(up, vec, a), _lower(down, vec, b), out=out)
-        return np.multiply(0.5, out, out=out)
-
-    def y_of(vec, out):
-        np.subtract(_raise(up, vec, a), _lower(down, vec, b), out=out)
-        return np.multiply(-0.5j, out, out=out)
-
-    x_of(c, xv)
-    y_of(c, yv)
+    m, ladder = _ladder_factors(n)
+    # One block per call: rows 0-2 take J+ psi, J- psi and J_z psi, and
+    # rows 3-5 later a copy of rows 0-2.
+    block = np.empty((6, n + 1), dtype=complex)
+    lab = block[:3]
+    xv, yv, zv = lab
+    _raise(ladder, c, xv)
+    _lower(ladder, c, yv)
     np.multiply(m, c, out=zv)
-    jx = float(np.vdot(c, xv).real)
-    jy = float(np.vdot(c, yv).real)
-    jz = float(np.vdot(c, zv).real)
-    # <A^2> = |A psi|^2 for Hermitian A, real by construction.
-    jx2 = float(np.vdot(xv, xv).real)
-    jy2 = float(np.vdot(yv, yv).real)
-    jz2 = float(np.vdot(zv, zv).real)
-    # <AB + BA> = <psi|A(B psi) + B(A psi)>: A(B psi) goes to total first,
-    # then B(A psi) to row a, which the first no longer needs.
-    sym_xy = float(np.vdot(c, np.add(x_of(yv, total), y_of(xv, a),
-                                     out=total)).real)
-    sym_xz = float(np.vdot(c, np.add(x_of(zv, total),
-                                     np.multiply(m, xv, out=a),
-                                     out=total)).real)
-    sym_yz = float(np.vdot(c, np.add(y_of(zv, total),
-                                     np.multiply(m, yv, out=a),
-                                     out=total)).real)
+    # J_x = (J+ + J-)/2 and J_y = i(J- - J+)/2 = i(J- - J_x), in place.
+    xv += yv
+    xv *= 0.5
+    yv -= xv
+    yv *= 1j
+    # Re <a|b> is the dot product of the float views of a and b, so no
+    # imaginary part is ever formed.  The Gram product runs against a
+    # copy: numpy sends a block times its own transpose to BLAS syrk,
+    # which is slower here than gemm.
+    parts = lab.view(float)
+    block[3:] = lab
+    jx, jy, jz = (parts @ c.view(float) / norm2).tolist()
+    (xx, xy, xz), (_, yy, yz), (_, _, zz) = (
+        parts @ block[3:].view(float).T / norm2).tolist()
+    # <A^2> = |A psi|^2 and <AB + BA> = 2 Re <A psi|B psi> for Hermitian
+    # A and B.
     return CollectiveMoments(
-        jx=jx / norm2, jy=jy / norm2, jz=jz / norm2,
-        jx2=jx2 / norm2, jy2=jy2 / norm2, jz2=jz2 / norm2,
-        sym_xy=sym_xy / norm2, sym_xz=sym_xz / norm2, sym_yz=sym_yz / norm2)
+        jx=jx, jy=jy, jz=jz, jx2=xx, jy2=yy, jz2=zz,
+        sym_xy=2.0 * xy, sym_xz=2.0 * xz, sym_yz=2.0 * yz)
 
 
 def pairwise_correlators(state: DickeState) -> PairCorrelators:

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from spinent import (
     CoherentSpec,
-    CollectiveMoments,
     DickeState,
     InsufficientAtomsError,
     LengthMismatchError,
@@ -160,6 +159,21 @@ class TestCollectiveMoments:
             j = n / 2.0
             assert abs(mom.jx2 + mom.jy2 + mom.jz2 - j * (j + 1)) < 1e-9
 
+    @pytest.mark.parametrize("n", [1000, 10_000, 100_000, 1_000_000])
+    def test_casimir_sum_at_large_n(self, n):
+        # Each second moment rounds in proportion to j(j+1), so the bound
+        # scales with it.
+        rng = np.random.default_rng(500 + n)
+        j = n / 2.0
+        casimir = j * (j + 1)
+        spec = CoherentSpec(n, rng.uniform(0.0, math.pi),
+                            rng.uniform(0.0, 2.0 * math.pi))
+        for state in (random_state(n, rng), coherent_state(spec),
+                      twisted_state(spec, rng.uniform(0.0, 0.5))):
+            mom = collective_moments(state)
+            assert abs(mom.jx2 + mom.jy2 + mom.jz2 - casimir) <= \
+                16 * np.finfo(float).eps * casimir
+
     def test_rejects_unnormalized(self):
         bad = _unchecked(2, [1.0, 1.0, 1.0])
         with pytest.raises(NormalizationError):
@@ -182,64 +196,61 @@ class TestCollectiveMoments:
 
 # The ladder formulas as they stood before collective_moments shared its
 # factors and buffers: m and every factor recomputed per application, and a
-# fresh vector for each result.  The library must match them bit for bit.
+# fresh vector for each result, in a given real precision.  In float64 the
+# library's ladder vectors must match them bit for bit.  Its moments sum in
+# another order, so they are held to the same formulas in long double.
 
-def _reference_m(n):
-    j = n / 2.0
-    return j - np.arange(n + 1)
+def _reference_m(n, real=np.float64):
+    j = real(n) / 2
+    return j - np.arange(n + 1, dtype=real)
 
 
-def _reference_up(n, vec):
-    j = n / 2.0
-    m = _reference_m(n)
-    out = np.zeros(n + 1, dtype=complex)
+def _reference_up(n, vec, real=np.float64):
+    j = real(n) / 2
+    m = _reference_m(n, real)
+    out = np.zeros(n + 1, dtype=np.result_type(real, 1j))
     out[:-1] = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)) * vec[1:]
     return out
 
 
-def _reference_down(n, vec):
-    j = n / 2.0
-    m = _reference_m(n)
-    out = np.zeros(n + 1, dtype=complex)
+def _reference_down(n, vec, real=np.float64):
+    j = real(n) / 2
+    m = _reference_m(n, real)
+    out = np.zeros(n + 1, dtype=np.result_type(real, 1j))
     out[1:] = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1)) * vec[:-1]
     return out
 
 
-def _reference_x(n, vec):
-    return 0.5 * (_reference_up(n, vec) + _reference_down(n, vec))
+def _reference_x(n, vec, real):
+    return 0.5 * (_reference_up(n, vec, real) + _reference_down(n, vec, real))
 
 
-def _reference_y(n, vec):
-    return -0.5j * (_reference_up(n, vec) - _reference_down(n, vec))
+def _reference_y(n, vec, real):
+    return -0.5j * (_reference_up(n, vec, real)
+                    - _reference_down(n, vec, real))
 
 
-def _reference_z(n, vec):
-    return _reference_m(n) * vec
+def _reference_z(n, vec, real=np.float64):
+    return _reference_m(n, real) * vec
 
 
 def _reference_moments(state):
-    c = state.coefficients
+    # 80-bit extended precision on x86-64.
+    real = np.longdouble
+    c = state.coefficients.astype(np.clongdouble)
     n = state.n_atoms
-    norm2 = float(np.sum(np.abs(c) ** 2))
-    xv = _reference_x(n, c)
-    yv = _reference_y(n, c)
-    zv = _reference_z(n, c)
-    jx = float(np.vdot(c, xv).real)
-    jy = float(np.vdot(c, yv).real)
-    jz = float(np.vdot(c, zv).real)
-    jx2 = float(np.vdot(xv, xv).real)
-    jy2 = float(np.vdot(yv, yv).real)
-    jz2 = float(np.vdot(zv, zv).real)
-    sym_xy = float(np.vdot(c, _reference_x(n, yv)
-                           + _reference_y(n, xv)).real)
-    sym_xz = float(np.vdot(c, _reference_x(n, zv)
-                           + _reference_z(n, xv)).real)
-    sym_yz = float(np.vdot(c, _reference_y(n, zv)
-                           + _reference_z(n, yv)).real)
-    return CollectiveMoments(
-        jx=jx / norm2, jy=jy / norm2, jz=jz / norm2,
-        jx2=jx2 / norm2, jy2=jy2 / norm2, jz2=jz2 / norm2,
-        sym_xy=sym_xy / norm2, sym_xz=sym_xz / norm2, sym_yz=sym_yz / norm2)
+    norm2 = np.sum(np.abs(c) ** 2)
+    xv = _reference_x(n, c, real)
+    yv = _reference_y(n, c, real)
+    zv = _reference_z(n, c, real)
+    values = [
+        np.vdot(c, xv), np.vdot(c, yv), np.vdot(c, zv),
+        np.vdot(xv, xv), np.vdot(yv, yv), np.vdot(zv, zv),
+        np.vdot(c, _reference_x(n, yv, real) + _reference_y(n, xv, real)),
+        np.vdot(c, _reference_x(n, zv, real) + _reference_z(n, xv, real)),
+        np.vdot(c, _reference_y(n, zv, real) + _reference_z(n, yv, real)),
+    ]
+    return np.array([v.real / norm2 for v in values])
 
 
 def _pin_corpus(n):
@@ -261,10 +272,13 @@ class TestBitIdentity:
     @pytest.mark.parametrize(
         "n", list(range(1, 41)) + [99, 100, 1000, 1234, 10_000])
     def test_matches_the_per_application_formulas(self, n):
+        j = n / 2.0
+        bound = 4 * np.finfo(float).eps * max(1.0, j * (j + 1))
         for state in _pin_corpus(n):
             c = state.coefficients
-            assert dataclasses.astuple(collective_moments(state)) == \
-                dataclasses.astuple(_reference_moments(state))
+            got = np.array(dataclasses.astuple(collective_moments(state)),
+                           dtype=np.longdouble)
+            assert np.max(np.abs(got - _reference_moments(state))) <= bound
             assert np.array_equal(apply_jplus(state), _reference_up(n, c))
             assert np.array_equal(apply_jminus(state), _reference_down(n, c))
             assert np.array_equal(apply_jz(state), _reference_z(n, c))
