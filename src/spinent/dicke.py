@@ -209,16 +209,6 @@ def _lower(ladder: np.ndarray, vec: np.ndarray, out: np.ndarray
     return out
 
 
-def _ladder_up(n_atoms: int, vec: np.ndarray) -> np.ndarray:
-    return _raise(_ladder_factors(n_atoms)[1], vec,
-                  np.empty(n_atoms + 1, dtype=complex))
-
-
-def _ladder_down(n_atoms: int, vec: np.ndarray) -> np.ndarray:
-    return _lower(_ladder_factors(n_atoms)[1], vec,
-                  np.empty(n_atoms + 1, dtype=complex))
-
-
 def apply_jz(state: DickeState) -> np.ndarray:
     """Coefficient vector of J_z applied to the state (not normalized)."""
     return state.m_values * state.coefficients
@@ -226,12 +216,14 @@ def apply_jz(state: DickeState) -> np.ndarray:
 
 def apply_jplus(state: DickeState) -> np.ndarray:
     """Coefficient vector of J+ applied to the state (not normalized)."""
-    return _ladder_up(state.n_atoms, state.coefficients)
+    return _raise(_ladder_factors(state.n_atoms)[1], state.coefficients,
+                  np.empty(state.n_atoms + 1, dtype=complex))
 
 
 def apply_jminus(state: DickeState) -> np.ndarray:
     """Coefficient vector of J- applied to the state (not normalized)."""
-    return _ladder_down(state.n_atoms, state.coefficients)
+    return _lower(_ladder_factors(state.n_atoms)[1], state.coefficients,
+                  np.empty(state.n_atoms + 1, dtype=complex))
 
 
 def collective_moments(state: DickeState) -> CollectiveMoments:

@@ -40,9 +40,6 @@ DEFAULT_S_TOLERANCE = 1e-10
 # against at least this multiple of it, above 1e-10 only for N > ~1.2e5.
 _S_FLOOR_FACTOR = 10.0
 
-# Variances are clamped to zero when rounding drives them this far negative.
-_VARIANCE_FLOOR = -1e-12
-
 
 class Classification(Enum):
     UNENTANGLED = "unentangled"
@@ -87,12 +84,6 @@ class StateAnalysis:
     report: MetricsReport
 
 
-def _clamp_variance(value: float) -> float:
-    if _VARIANCE_FLOOR < value < 0.0:
-        return 0.0
-    return value
-
-
 def _quadratic_form(axis: tuple[float, float, float], xx: float, yy: float,
                     zz: float, xy: float, xz: float, yz: float) -> float:
     """axis . M . axis for the symmetric 3x3 matrix M with these entries."""
@@ -107,12 +98,15 @@ def transverse_variances(moments: CollectiveMoments,
 
     The rotated first moments vanish, so the variances are the rotated
     second moments: the x' and y' quadratic forms of the lab moment matrix.
+    That matrix is the Gram matrix Re <J_a psi|J_b psi>, positive
+    semidefinite, so a negative form is rounding (about ulp(1) j(j+1) in
+    size) and is clamped to zero; -0.0 and NaN pass through.
     """
     x_axis, y_axis = _transverse_axes(frame)
     second = (moments.jx2, moments.jy2, moments.jz2, 0.5 * moments.sym_xy,
               0.5 * moments.sym_xz, 0.5 * moments.sym_yz)
-    return (_clamp_variance(_quadratic_form(x_axis, *second)),
-            _clamp_variance(_quadratic_form(y_axis, *second)))
+    return (max(_quadratic_form(x_axis, *second), 0.0),
+            max(_quadratic_form(y_axis, *second), 0.0))
 
 
 def correlation_terms(var_xp: float, var_yp: float,
@@ -172,10 +166,15 @@ def squeezing_parameters(var_xp: float, var_yp: float,
     """Q_x = sqrt(2/j) * dJ_x' and Q_y likewise, with j = N/2.
 
     A coherent (product) state gives exactly (1, 1); Q < 1 along one axis is
-    squeezing.
+    squeezing.  A negative variance or N = 0 raises SpinentError.
     """
     j = n_atoms / 2.0
-    return math.sqrt(2.0 * var_xp / j), math.sqrt(2.0 * var_yp / j)
+    try:
+        return math.sqrt(2.0 * var_xp / j), math.sqrt(2.0 * var_yp / j)
+    except (ValueError, ZeroDivisionError):
+        raise SpinentError(
+            f"squeezing parameters are undefined for var_xp={var_xp!r}, "
+            f"var_yp={var_yp!r}, n_atoms={n_atoms!r}") from None
 
 
 def s_from_q(q_x: float, q_y: float, n_atoms: int) -> float:
@@ -226,7 +225,7 @@ def classify(s_param: float | None, degenerate_frame: bool = False,
     if degenerate_frame:
         return Classification.DEGENERATE_FRAME
     if s_param is None:
-        raise ValueError("s_param is required for a non-degenerate frame")
+        raise SpinentError("s_param is required for a non-degenerate frame")
     if s_param <= s_tolerance:
         return Classification.UNENTANGLED
     return Classification.ENTANGLED

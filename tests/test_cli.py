@@ -301,6 +301,26 @@ class TestAnalyze:
         assert (code, err) == (0, "")
         assert parse_report(out)["classification"] == "entangled"
 
+    def test_near_zero_variance_axis_exit_0(self, tmp_path, capsys):
+        # |m=0> + 1e-6 |m=1> at N = 300, turned by pi/2 about x and by phi
+        # about z: the y' form rounds below zero, past the old absolute
+        # -1e-12 floor, and analyze stopped with a math domain error.
+        n = 300
+        m = n / 2.0 - np.arange(n + 1)
+        half = 0.5 * np.sqrt(n / 2.0 * (n / 2.0 + 1) - m[1:] * m[:-1])
+        lam, vec = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))
+        base = np.zeros(n + 1)
+        base[n // 2 - 1:n // 2 + 1] = 1e-6, 1.0
+        phi = np.linspace(0.05, 6.25, 60)[36]
+        turn = (vec * np.exp(-0.5j * np.pi * lam)) @ vec.T
+        coeffs = np.exp(-1j * phi * m) * (turn @ base)
+        path = self.make_file(tmp_path, coeffs / np.linalg.norm(coeffs), n)
+        code, out, err = run_strict(["analyze", path], capsys)
+        assert (code, err) == (0, "")
+        doc = parse_report(out)
+        assert doc["classification"] == "entangled"
+        assert doc["metrics"]["var_yp"] >= 0.0
+
     def test_missing_file_exit_1(self, tmp_path, capsys):
         code, _, err = run(["analyze", str(tmp_path / "absent.json")],
                            capsys)

@@ -24,7 +24,7 @@ from spinent import (
     random_state,
     twisted_state,
 )
-from spinent.dicke import _ladder_down, _ladder_up
+from spinent.dicke import _ladder_factors, _lower, _raise
 
 SQRT3 = math.sqrt(3.0)
 
@@ -32,12 +32,21 @@ SQRT3 = math.sqrt(3.0)
 WORKED = DickeState(2, [SQRT3 / 2, 0.0, 0.5])
 
 
+def _up_down(n, vec):
+    # J+ and J- on a raw coefficient vector, normalized or not.
+    factors = _ladder_factors(n)[1]
+    return (_raise(factors, vec, np.empty(n + 1, dtype=complex)),
+            _lower(factors, vec, np.empty(n + 1, dtype=complex)))
+
+
 def _jx(n, vec):
-    return 0.5 * (_ladder_up(n, vec) + _ladder_down(n, vec))
+    up, down = _up_down(n, vec)
+    return 0.5 * (up + down)
 
 
 def _jy(n, vec):
-    return -0.5j * (_ladder_up(n, vec) - _ladder_down(n, vec))
+    up, down = _up_down(n, vec)
+    return -0.5j * (up - down)
 
 
 def _unchecked(n_atoms, coefficients):

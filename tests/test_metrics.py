@@ -10,8 +10,10 @@ from numpy.testing import assert_allclose
 from spinent import (
     Classification,
     CoherentSpec,
+    CollectiveMoments,
     DegenerateMeanSpinError,
     DickeState,
+    Frame,
     InsufficientAtomsError,
     SpinentError,
     analyze,
@@ -46,6 +48,26 @@ def _frame_of(state):
     return moments, build_frame(mean_spin(moments))
 
 
+def _near_zero_variance_states(n):
+    """|m=0> + delta |m=1>, turned by pi/2 about x, then by phi about z.
+
+    For even n.  The turn takes the J_z eigenbasis of the Dicke state to
+    one of J_y, so the y' axis carries a variance near zero.
+    """
+    j = n / 2.0
+    m = j - np.arange(n + 1)
+    half = 0.5 * np.sqrt(j * (j + 1) - m[1:] * m[:-1])
+    lam, vec = np.linalg.eigh(np.diag(half, 1) + np.diag(half, -1))
+    turn = (vec * np.exp(-0.5j * np.pi * lam)) @ vec.T
+    for delta in (1e-6, 1e-8):
+        base = np.zeros(n + 1, dtype=complex)
+        base[n // 2 - 1:n // 2 + 1] = delta, 1.0
+        turned = turn @ base
+        for phi in np.linspace(0.05, 6.25, 60):
+            c = np.exp(-1j * phi * m) * turned
+            yield DickeState(n, c / np.linalg.norm(c))
+
+
 class TestTransverseVariances:
     def test_worked_two_atom_state(self):
         moments, frame = _frame_of(WORKED)
@@ -74,6 +96,19 @@ class TestTransverseVariances:
                 var_xp, var_yp = transverse_variances(*_frame_of(state))
                 assert var_xp >= 0.0
                 assert var_yp >= 0.0
+
+    def test_negative_form_clamps_to_zero(self):
+        # The forms are of the Gram matrix Re <J_a psi|J_b psi>, so a
+        # negative one is rounding, clamped whatever its size; NaN passes.
+        # At theta = phi = 0, x' = x and y' = y.
+        frame = Frame(1.0, 0.0, 1.0, 0.0, True)
+
+        def variances(jx2, jy2):
+            return transverse_variances(CollectiveMoments(
+                0.0, 0.0, 1.0, jx2, jy2, 1.0, 0.0, 0.0, 0.0), frame)
+
+        assert variances(-3.64e-12, -1.0) == (0.0, 0.0)
+        assert all(map(math.isnan, variances(math.nan, 2.0)))
 
 
 class TestCorrelationTerms:
@@ -155,6 +190,12 @@ class TestSqueezingParameters:
         assert_allclose(q_x, math.sqrt(1.0 + SQRT3 / 2), atol=1e-15)
         assert_allclose(q_y, math.sqrt(1.0 - SQRT3 / 2), atol=1e-15)
 
+    @pytest.mark.parametrize("var_xp, var_yp, n", [
+        (-1.0, 1.0, 4), (1.0, -1e-300, 4), (1.0, 1.0, 0)])
+    def test_undefined_input_is_a_spinent_error(self, var_xp, var_yp, n):
+        with pytest.raises(SpinentError, match="squeezing parameters"):
+            squeezing_parameters(var_xp, var_yp, n)
+
     def test_dicke_three_atoms(self):
         q_x, q_y = squeezing_parameters(1.75, 1.75, 3)
         assert_allclose((q_x, q_y),
@@ -213,6 +254,10 @@ class TestClassify:
 
     def test_custom_tolerance(self):
         assert classify(0.5, s_tolerance=1.0) is Classification.UNENTANGLED
+
+    def test_missing_s_param_is_a_spinent_error(self):
+        with pytest.raises(SpinentError, match="s_param is required"):
+            classify(None)
 
     @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
     def test_bad_tolerance_rejected_first(self, tolerance):
@@ -327,6 +372,16 @@ class TestLargeN:
             is Classification.ENTANGLED
         assert analyze(state).report.classification \
             is Classification.UNENTANGLED
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_near_zero_variance_axis(self, n):
+        # The y' form rounds to a few -ulp(1) j(j+1); an absolute floor of
+        # -1e-12 let 3 of these 120 states at N = 300 and 43 at N = 1000
+        # reach math.sqrt negative.
+        for state in _near_zero_variance_states(n):
+            r = analyze(state).report
+            assert r.var_xp >= 0.0 and r.var_yp >= 0.0
+            assert r.classification is Classification.ENTANGLED
 
     @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
     def test_floor_does_not_hide_invalid_tolerance(self, tolerance):

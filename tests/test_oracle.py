@@ -1,5 +1,6 @@
 """Brute-force 2**N path: operator actions, basis maps, full cross-check."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -46,8 +47,8 @@ from spinent import (
     squeezing_parameters,
     twisted_state,
 )
-from spinent.dicke import CollectiveMoments
-from spinent.oracle import _real_expectation, _real_traces
+from spinent.dicke import CollectiveMoments, _ladder_factors, _lower, _raise
+from spinent.oracle import _real_parts
 
 SQRT3 = math.sqrt(3.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -114,14 +115,16 @@ class TestSingleAtomAction:
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_collective_sum_matches_ladder_action(self, axis):
-        from spinent.dicke import _ladder_down, _ladder_up
         n = 5
         rng = np.random.default_rng(55)
         state = random_state(n, rng)
         c = state.coefficients
+        factors = _ladder_factors(n)[1]
+        up = _raise(factors, c, np.empty(n + 1, dtype=complex))
+        down = _lower(factors, c, np.empty(n + 1, dtype=complex))
         ladder = {
-            "x": lambda: 0.5 * (_ladder_up(n, c) + _ladder_down(n, c)),
-            "y": lambda: -0.5j * (_ladder_up(n, c) - _ladder_down(n, c)),
+            "x": lambda: 0.5 * (up + down),
+            "y": lambda: -0.5j * (up - down),
             "z": lambda: state.m_values * c}[axis]
         collective = sum(
             single_atom_action(_embed(c, n), n, i, axis)
@@ -285,6 +288,36 @@ class TestOracleMetrics:
                 assert_allclose(oracle.per_atom_var_xp, 0.25, atol=1e-12)
                 assert_allclose(oracle.per_atom_var_yp, 0.25, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_norm_drift_divides_out_on_both_paths(self, n):
+        # Both paths divide every expectation by the squared norm, so drift
+        # within NORM_TOLERANCE leaves them agreeing to rounding, and the
+        # per-atom variances of a symmetric state at 1/4.
+        rng = np.random.default_rng(5000 + n)
+
+        def close(ours, theirs):
+            assert abs(ours - theirs) <= 1e-12 * max(1.0, abs(theirs))
+
+        for norm2 in (1.0 - 9e-7, 1.0 + 5e-7, 1.0 + 9e-7):
+            state = DickeState(n, random_state(n, rng).coefficients
+                               * math.sqrt(norm2))
+            ladder = analyze(state)
+            oracle = oracle_metrics(dicke_to_full(state))
+            for theirs, ours in ((ladder.moments, oracle.moments),
+                                 (pairwise_correlators(state),
+                                  oracle.correlators),
+                                 (ladder.report, oracle.report)):
+                for field in dataclasses.fields(theirs):
+                    value = getattr(theirs, field.name)
+                    if isinstance(value, float):
+                        close(getattr(ours, field.name), value)
+                    else:
+                        assert getattr(ours, field.name) == value
+            close(oracle.mean_spin.magnitude, ladder.mean_spin.magnitude)
+            assert ladder.frame is not None and oracle.frame is not None
+            assert_allclose(oracle.per_atom_var_xp, 0.25, rtol=0, atol=1e-14)
+            assert_allclose(oracle.per_atom_var_yp, 0.25, rtol=0, atol=1e-14)
+
     def test_degenerate_frame_matches_ladder_path(self):
         state = dicke_state(4, 0)
         ladder = analyze(state)
@@ -380,15 +413,17 @@ def _brute_force(full):
     """Every OracleReport field, from 3N separately stored public actions.
 
     Returns (moments, correlators, per-atom x'/y' variances, variances);
-    the last two are None for a degenerate frame.
+    the last two are None for a degenerate frame.  Every expectation is
+    divided by the squared norm.
     """
     n, amps = full.n_atoms, full.amplitudes
     actions = [[single_atom_action(amps, n, i, axis) for axis in "xyz"]
                for i in range(n)]
     lab = [sum(actions[i][a] for i in range(n)) for a in range(3)]
+    norm2 = complex(np.vdot(amps, amps)).real
 
     def real(bra, ket):
-        return complex(np.vdot(bra, ket)).real
+        return complex(np.vdot(bra, ket)).real / norm2
 
     moments = CollectiveMoments(
         *[real(amps, vec) for vec in lab],
@@ -428,10 +463,11 @@ class TestBruteForceReference:
             if n % 2 == 0:
                 states.append(dicke_state(n, 0))
         fulls = [dicke_to_full(state) for state in states]
-        # Without exchange symmetry every atom has its own variances.
-        for _ in range(2 if small else 1):
+        # Without exchange symmetry every atom has its own variances.  The
+        # last state's squared norm drifts by 9e-7.
+        for norm in [1.0] * (1 if small else 0) + [math.sqrt(1.0 + 9e-7)]:
             raw = rng.standard_normal((1 << n, 2)) @ [1.0, 1j]
-            fulls.append(FullState(n, raw / np.linalg.norm(raw)))
+            fulls.append(FullState(n, raw * (norm / np.linalg.norm(raw))))
         for full in fulls:
             oracle = oracle_metrics(full)
             moments, correlators, per_atom, variances = _brute_force(full)
@@ -467,26 +503,47 @@ class TestBruteForceReference:
                 close(getattr(oracle.report, name), value)
 
 
+def _expectation(bra, ket):
+    # <bra|ket> under the residue rule, with |bra| |ket| as the scale.
+    return _real_parts(np.vdot(bra, ket),
+                       lambda: np.linalg.norm(bra) * np.linalg.norm(ket))
+
+
+def _traces(operators, densities):
+    # tr(A rho), (k, m), with the Frobenius norms |A| |rho| as the scale.
+    return _real_parts(
+        np.einsum("kij,mji->km", operators, densities),
+        lambda: np.outer(np.linalg.norm(operators, axis=(1, 2)),
+                         np.linalg.norm(densities, axis=(1, 2))))
+
+
 class TestResidueCheck:
     def test_hermitian_pair_returns_real_part(self):
         vec = np.array([0.6, 0.8j])
-        assert _real_expectation(vec, 2.0 * vec) == 2.0
+        assert _expectation(vec, 2.0 * vec) == 2.0
 
     @pytest.mark.parametrize("ket", [[1j, 0.0], [1e-6j, 0.0],
                                      [complex("nanj"), 0.0]])
     def test_non_hermitian_pair_raises(self, ket):
         # The error survives python -O, unlike an assert.
         with pytest.raises(SpinentError, match="imaginary residue"):
-            _real_expectation(np.array([1.0, 0.0]), np.array(ket))
+            _expectation(np.array([1.0, 0.0]), np.array(ket))
 
     def test_residue_scaled_to_operand_norms(self):
         # A residue of 1e-9 is past the absolute 1e-10 but within 1e-12
         # times |bra| |ket| = 1e4; 1e-7 is past both.
         bra = np.array([100.0, 0.0])
         ket = np.array([100.0 + 1e-11j, 0.0])
-        assert _real_expectation(bra, ket) == 1e4
+        assert _expectation(bra, ket) == 1e4
         with pytest.raises(SpinentError):
-            _real_expectation(bra, np.array([100.0 + 1e-9j, 0.0]))
+            _expectation(bra, np.array([100.0 + 1e-9j, 0.0]))
+
+    def test_scale_only_past_the_absolute_bound(self):
+        def unreachable():
+            raise AssertionError("scale computed within the absolute bound")
+
+        assert _real_parts([1.0 + 1e-10j, 2.0], unreachable).tolist() == \
+            [1.0, 2.0]
 
 
 class TestTraceResidueCheck:
@@ -496,8 +553,8 @@ class TestTraceResidueCheck:
                         [[0.5, 0.0], [0.0, 0.5]]])
         half_z = np.array([[[0.5, 0.0], [0.0, -0.5]]])
         half_y = np.array([[[0.0, -0.5j], [0.5j, 0.0]]])
-        assert _real_traces(half_z, rho).tolist() == [[0.25, 0.0]]
-        assert _real_traces(half_y, rho).tolist() == [[-0.25, 0.0]]
+        assert _traces(half_z, rho).tolist() == [[0.25, 0.0]]
+        assert _traces(half_y, rho).tolist() == [[-0.25, 0.0]]
 
     @pytest.mark.parametrize("coherence", [0.5j, 1e-6j, complex("nanj")])
     def test_non_hermitian_pair_raises(self, coherence):
@@ -505,17 +562,17 @@ class TestTraceResidueCheck:
         raising = np.array([[[0.0, 1.0], [0.0, 0.0]]])
         rho = np.array([[[0.5, np.conj(coherence)], [coherence, 0.5]]])
         with pytest.raises(SpinentError, match="imaginary residue"):
-            _real_traces(raising, rho)
+            _traces(raising, rho)
 
     def test_residue_scaled_to_operand_norms(self):
         # A residue of 1e-9 is past the absolute 1e-10 but within 1e-12
         # times |A| |rho| = 100 sqrt(2) * 100; 1e-7 is past both.
         scaled = np.array([100.0 * np.eye(2)])
         rho = np.array([[[100.0 + 1e-11j, 0.0], [0.0, 0.0]]])
-        assert _real_traces(scaled, rho).tolist() == [[1e4]]
+        assert _traces(scaled, rho).tolist() == [[1e4]]
         with pytest.raises(SpinentError):
-            _real_traces(scaled, np.array([[[100.0 + 1e-9j, 0.0],
-                                            [0.0, 0.0]]]))
+            _traces(scaled, np.array([[[100.0 + 1e-9j, 0.0],
+                                       [0.0, 0.0]]]))
 
     def test_one_bad_entry_raises(self):
         # Every entry is checked, not only the largest operand's.
@@ -523,11 +580,11 @@ class TestTraceResidueCheck:
         rho = np.array([[[0.5, 0.0], [0.0, 0.5]],
                         [[0.5, -0.5j], [0.5j, 0.5]]])
         with pytest.raises(SpinentError, match="imaginary residue 5.000e-01"):
-            _real_traces(ops, rho)
+            _traces(ops, rho)
 
 
 def test_residue_checks_hold_under_python_O():
-    # Both residue checks are plain ifs, so python -O (which strips
+    # The residue check is a plain if, so python -O (which strips
     # asserts from the package) must leave every case above passing.
     here = Path(__file__).resolve()
     src = Path(spinent.__file__).resolve().parents[1]
@@ -537,7 +594,7 @@ def test_residue_checks_hold_under_python_O():
         capture_output=True, text=True, cwd=here.parents[1],
         env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "\n11 passed" in done.stdout
+    assert "\n12 passed" in done.stdout
 
 
 class TestSchmidtRank:

@@ -156,6 +156,48 @@ def test_cache_and_buffer_scan_finds_each_form(source, expected):
         expected
 
 
+def _functions_reading(tree, names):
+    """Names of the functions that read any of names.
+
+    A read in a lambda counts as its enclosing function's, a read outside
+    every function as "<module>"; assignments are not reads.
+    """
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Name) and node.id in names and \
+                isinstance(node.ctx, ast.Load):
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_oracle_has_one_residue_rule():
+    # Every Hermitian expectation the oracle takes passes one residue
+    # rule, so one function reads its two bounds.
+    tree = ast.parse((SOURCE / "oracle.py").read_text(encoding="utf-8"))
+    absolute, relative = (_functions_reading(tree, {name}) for name in
+                          ("_IMAG_TOLERANCE", "_IMAG_RELATIVE"))
+    assert absolute == relative and len(absolute) == 1, (absolute, relative)
+    assert "<module>" not in absolute
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("X = 1\ndef f():\n    return X\n", {"f"}),
+    ("X = 1\ndef f():\n    return lambda: X\n", {"f"}),
+    ("X = 1\ndef f():\n    def g():\n        return X\n", {"g"}),
+    ("X = 1\nY = 2 * X\n", {"<module>"}),
+    ("def f():\n    X = 2\n", set()),
+])
+def test_reader_scan_finds_each_form(source, expected):
+    assert _functions_reading(ast.parse(source), {"X"}) == expected
+
+
 def _names_from_dicke(tree):
     """Names a spinent module takes from spinent.dicke, in source order.
 
