@@ -269,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (SpinentError, OSError) as exc:
+    except (SpinentError, OSError, MemoryError) as exc:
         print(f"spinent: error: {exc}", file=sys.stderr)
         return 1
 

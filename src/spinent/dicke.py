@@ -72,9 +72,13 @@ def _unit_vector(amplitudes: np.ndarray) -> np.ndarray:
 
 def _atom_count(n_atoms) -> int:
     """n_atoms as an int; LengthMismatchError unless a positive integer."""
-    if not isinstance(n_atoms, (int, np.integer)) or n_atoms < 1:
+    # bool is an int subclass, and numpy sizes an array in intp bytes.
+    if isinstance(n_atoms, bool) or \
+            not isinstance(n_atoms, (int, np.integer)) or n_atoms < 1:
         raise LengthMismatchError(
             f"n_atoms must be a positive integer, got {n_atoms!r}")
+    if n_atoms >= np.iinfo(np.intp).max // np.dtype(complex).itemsize:
+        raise LengthMismatchError(f"n_atoms={n_atoms} is too large for numpy")
     return int(n_atoms)
 
 
@@ -232,19 +236,16 @@ def collective_moments(state: DickeState) -> CollectiveMoments:
     Each ladder move is applied to the coefficient vector once, O(N) work,
     and every moment is an inner product of applied vectors, divided by the
     squared norm so that drift within NORM_TOLERANCE does not bias it.  The
-    nine moments come from two real matrix products.  They agree with
-    applying J_x, J_y and J_z one operator at a time to within a few
-    rounding units of j(j+1), not to the bit: the products sum in BLAS's
-    order.
+    second moments are the Gram matrix Re <J_a psi|J_b psi>.  They agree
+    with applying J_x, J_y and J_z one operator at a time to within a few
+    rounding units of j(j+1), not to the bit: BLAS sets the summation order.
     """
     c = state.coefficients
     n = state.n_atoms
     norm2 = _check_norm(c)
     m, ladder = _ladder_factors(n)
-    # One block per call: rows 0-2 take J+ psi, J- psi and J_z psi, and
-    # rows 3-5 later a copy of rows 0-2.
-    block = np.empty((6, n + 1), dtype=complex)
-    lab = block[:3]
+    # One block per call: rows 0-2 take J+ psi, J- psi and J_z psi.
+    lab = np.empty((3, n + 1), dtype=complex)
     xv, yv, zv = lab
     _raise(ladder, c, xv)
     _lower(ladder, c, yv)
@@ -255,14 +256,12 @@ def collective_moments(state: DickeState) -> CollectiveMoments:
     yv -= xv
     yv *= 1j
     # Re <a|b> is the dot product of the float views of a and b, so no
-    # imaginary part is ever formed.  The Gram product runs against a
-    # copy: numpy sends a block times its own transpose to BLAS syrk,
-    # which is slower here than gemm.
+    # imaginary part is ever formed.  The Gram matrix is one batched
+    # product of each row against each row: nine BLAS dots, no copy.
     parts = lab.view(float)
-    block[3:] = lab
     jx, jy, jz = (parts @ c.view(float) / norm2).tolist()
-    (xx, xy, xz), (_, yy, yz), (_, _, zz) = (
-        parts @ block[3:].view(float).T / norm2).tolist()
+    (xx, xy, xz), (_, yy, yz), (_, _, zz) = (np.matmul(
+        parts[:, None, None], parts[..., None])[..., 0, 0] / norm2).tolist()
     # <A^2> = |A psi|^2 and <AB + BA> = 2 Re <A psi|B psi> for Hermitian
     # A and B.
     return CollectiveMoments(

@@ -118,13 +118,13 @@ def _is_float_rows(items) -> bool:
             and all(map(math.isfinite, chain.from_iterable(items))))
 
 
-def state_document(state: DickeState, renormalize: bool = False) -> dict:
+def state_document(state: DickeState) -> dict:
     coefficients = state.coefficients
     return {
         "n": state.n_atoms,
         "coefficients": [list(pair) for pair in zip(
             coefficients.real.tolist(), coefficients.imag.tolist())],
-        "renormalize": bool(renormalize),
+        "renormalize": False,
     }
 
 
@@ -139,7 +139,7 @@ def parse_state(text: str) -> DickeState:
         raise SpinentError(
             "state file must be an object with keys 'n' and 'coefficients'")
     n = doc["n"]
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise SpinentError(f"'n' must be an integer, got {n!r}")
     pairs = doc["coefficients"]
     try:

@@ -297,15 +297,15 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
         np.einsum("kij,ji->k", _PAIR_OPERATORS, pair_rho),
         lambda: np.linalg.norm(_PAIR_OPERATORS, axis=(1, 2))
         * np.linalg.norm(pair_rho)).tolist())
-    # CollectiveMoments field order.  The sym_ab real parts go unchecked:
-    # Im <Ja psi|Jb psi> is the commutator expectation, legitimately nonzero.
-    squares = [float(np.vdot(vec, vec).real) for vec in lab]
+    # Re <Ja psi|Jb psi> from one batched product of float views, unchecked:
+    # its Im is the commutator expectation, legitimately nonzero.
+    parts = lab.view(float)
+    gram = np.matmul(parts[:, None, None], parts[..., None])[..., 0, 0]
     first = _real_parts([np.vdot(psi, vec) for vec in lab],
-                        lambda: np.sqrt(norm2 * np.array(squares)))
-    moments = CollectiveMoments(
-        *(first / norm2).tolist(), *[value / norm2 for value in squares],
-        *[2.0 * float(np.vdot(lab[a], lab[b]).real) / norm2
-          for a, b in ((0, 1), (0, 2), (1, 2))])
+                        lambda: np.sqrt(norm2 * gram.diagonal()))
+    moments = CollectiveMoments(  # in field order
+        *(first / norm2).tolist(), *(gram.diagonal() / norm2).tolist(),
+        *(2.0 * gram[(0, 0, 1), (1, 2, 2)] / norm2).tolist())
     spin = mean_spin(moments)
 
     try:

@@ -3,8 +3,12 @@
 import io
 import json
 import math
+import os
+import resource
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,21 @@ def assert_input_error(code, out, err):
     assert out == ""
     assert err.startswith("spinent: error:")
     assert "Traceback" not in err
+
+
+def run_limited(argv):
+    # The CLI in a child process with 2 GiB of address space, so that a
+    # request for petabytes fails at once, whatever the host would lazily
+    # grant.
+    root = str(Path(spinent.cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=root if not path else root + os.pathsep + path)
+    result = subprocess.run(
+        [sys.executable, "-m", "spinent.cli", *argv], capture_output=True,
+        text=True, env=env, timeout=120, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    return result.returncode, result.stdout, result.stderr
 
 
 def rows(csv_text):
@@ -161,6 +180,22 @@ class TestMakeState:
         assert_input_error(code, out, err)
         assert err == ("spinent: error: squared amplitude magnitudes sum to "
                        "inf, more than 1e-06 away from 1\n")
+
+    def test_unindexable_atom_count_exits_1(self, capsys):
+        # Refused before numpy is asked for an array.
+        code, out, err = run(["make-state", "dicke", "--n", str(10 ** 18),
+                              "--m", "0"], capsys)
+        assert_input_error(code, out, err)
+        assert "too large" in err
+
+    @pytest.mark.parametrize("kind,flags", [
+        ("dicke", ["--m", "0"]), ("twist", ["--theta", "1", "--mu", "0.1"])])
+    def test_unallocatable_atom_count_exits_1(self, kind, flags):
+        # numpy's MemoryError for 10**15 atoms becomes an error line.
+        code, out, err = run_limited(["make-state", kind, "--n",
+                                      str(10 ** 15), *flags])
+        assert_input_error(code, out, err)
+        assert "Unable to allocate" in err
 
 
 class TestAnalyze:

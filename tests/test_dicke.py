@@ -189,7 +189,7 @@ class TestCollectiveMoments:
             collective_moments(bad)
 
     def test_peak_memory_is_a_few_vectors(self):
-        # O(N): a fixed number of (N+1) complex vectors per call, below 8.
+        # O(N): a fixed number of (N+1) complex vectors per call, below 5.
         n = 100_000
         state = coherent_state(CoherentSpec(n, 1.0, 0.3))
         collective_moments(state)
@@ -200,7 +200,7 @@ class TestCollectiveMoments:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 16 * (n + 1)
+        assert peak < 5 * 16 * (n + 1)
 
 
 # The ladder formulas as they stood before collective_moments shared its

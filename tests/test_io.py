@@ -125,6 +125,13 @@ class TestParseState:
         assert state.coefficients.tobytes() == \
             expected.coefficients.tobytes()
 
+    @pytest.mark.parametrize("n", ["true", "false"])
+    def test_boolean_atom_count_is_refused(self, n):
+        # true would otherwise read as one atom, and this state has two
+        # coefficients, as one atom needs.
+        with pytest.raises(SpinentError, match="'n' must be an integer"):
+            parse_state('{"n": ' + n + ', "coefficients": [[1, 0], [0, 0]]}')
+
     def test_empty_list_is_a_length_error(self):
         with pytest.raises(SpinentError, match="expected 2 coefficients"):
             parse_state('{"n": 1, "coefficients": []}')

@@ -246,11 +246,26 @@ class TestAtomCount:
         lambda: random_state(3.0, np.random.default_rng(0)),
         lambda: random_state(-1, np.random.default_rng(0)),
         lambda: CoherentSpec(2.0, 0.5),
-        lambda: DickeState(2.0, [1.0, 0.0, 0.0])])
+        lambda: DickeState(2.0, [1.0, 0.0, 0.0]),
+        # bool is an int subclass, so True would read as one atom.
+        lambda: DickeState(True, [1, 0]),
+        lambda: CoherentSpec(True, 1.0),
+        lambda: random_state(True, np.random.default_rng(0))])
     def test_non_integer_count_is_a_length_error(self, build):
         with pytest.raises(LengthMismatchError,
                            match="n_atoms must be a positive integer"):
             build()
+
+    @pytest.mark.parametrize("n", [np.iinfo(np.intp).max // 16, 10**18,
+                                   np.uint64(2**63)])
+    def test_unallocatable_count_is_a_length_error(self, n):
+        # Refused before any array is asked for: (N+1) complex entries
+        # would exceed the largest size numpy can index.
+        for build in (lambda: dicke_state(n, 0.0),
+                      lambda: CoherentSpec(n, 1.0),
+                      lambda: DickeState(n, [1.0])):
+            with pytest.raises(LengthMismatchError, match="too large"):
+                build()
 
     def test_numpy_integer_count_accepted(self):
         state = dicke_state(np.int64(3), 0.5)
