@@ -30,6 +30,8 @@ from .errors import InsufficientAtomsError, LengthMismatchError, NormalizationEr
 
 # Constructor and expectation-value guard: reject beyond this, tolerate below.
 NORM_TOLERANCE = 1e-6
+# The most elements numpy can size for one complex vector.
+_MAX_COMPLEX_SIZE = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
 def _check_norm(amplitudes: np.ndarray) -> float:
@@ -77,7 +79,7 @@ def _atom_count(n_atoms) -> int:
             not isinstance(n_atoms, (int, np.integer)) or n_atoms < 1:
         raise LengthMismatchError(
             f"n_atoms must be a positive integer, got {n_atoms!r}")
-    if n_atoms >= np.iinfo(np.intp).max // np.dtype(complex).itemsize:
+    if n_atoms >= _MAX_COMPLEX_SIZE:
         raise LengthMismatchError(f"n_atoms={n_atoms} is too large for numpy")
     return int(n_atoms)
 
@@ -182,7 +184,7 @@ class PairCorrelators:
 def _m_of(n_atoms: int) -> np.ndarray:
     # The one formula for m; DickeState.m_values returns it too.
     j = n_atoms / 2.0
-    return j - np.arange(n_atoms + 1)
+    return j - np.arange(n_atoms + 1.0)
 
 
 def _ladder_factors(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:

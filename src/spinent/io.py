@@ -1,7 +1,8 @@
 """State-file and report serialization plus CSV row formatting.
 
 State files and reports are JSON: human-readable, hand-editable key/value
-text with nested arrays.  Floats are emitted through Python's shortest
+text with nested arrays; a state's complex coefficient array is written,
+by its type, as [re, im] rows.  Floats are emitted through Python's shortest
 round-trip repr, so serialize -> parse -> serialize is a byte-for-byte fixed
 point at full double precision.  CSV cells default to 17 significant digits;
 the SPINENT_PRECISION environment variable (1..17) overrides that, and is
@@ -59,8 +60,10 @@ def dump_document(doc: dict) -> str:
     For a document of dicts with str keys, lists, tuples, str, int, float,
     bool and None, the text equals json.dumps(doc, indent=2,
     allow_nan=False) + "\n"; a NaN or infinite float raises ValueError.
-    json writes indented text with its pure-Python encoder, which takes
-    about twice as long as this emitter on a coefficient block.
+    A 1-D complex ndarray is written, by its type, as its [re, im] rows
+    would be, and any other array raises TypeError.  json writes indented
+    text with its pure-Python encoder, which takes about twice as long as
+    this emitter on a coefficient block.
     """
     return _text(doc, "\n") + "\n"
 
@@ -86,13 +89,18 @@ def _text(value, newline: str) -> str:
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         brackets = "[]"
-        if _is_float_rows(value):
-            # One f-string per row: float repr is most of a state's cost.
-            deeper = inner + "  "
-            items = [f"[{deeper}{re!r},{deeper}{im!r}{inner}]"
-                     for re, im in value]
-        else:
-            items = [_text(item, inner) for item in value]
+        items = [_text(item, inner) for item in value]
+    elif isinstance(value, np.ndarray):
+        if value.dtype != complex or value.ndim != 1:
+            raise TypeError(f"Array of {value.dtype} and shape {value.shape} "
+                            "is not JSON serializable")
+        parts = np.ascontiguousarray(value).view(float)
+        if not np.isfinite(parts).all():  # raise json's ValueError
+            _text(float(parts[~np.isfinite(parts)][0]), newline)
+        brackets, deeper, floats = "[]", inner + "  ", iter(parts.tolist())
+        # One f-string per row: float repr is most of a state's cost.
+        items = [f"[{deeper}{re!r},{deeper}{im!r}{inner}]"
+                 for re, im in zip(floats, floats)]
     elif isinstance(value, dict):
         brackets = "{}"
         for key in value:
@@ -110,22 +118,10 @@ def _text(value, newline: str) -> str:
             + brackets[1])
 
 
-def _is_float_rows(items) -> bool:
-    # A list of finite [float, float] rows, such as a coefficient block.
-    return (set(map(type, items)) <= {list, tuple}
-            and set(map(len, items)) == {2}
-            and set(map(type, chain.from_iterable(items))) == {float}
-            and all(map(math.isfinite, chain.from_iterable(items))))
-
-
 def state_document(state: DickeState) -> dict:
-    coefficients = state.coefficients
-    return {
-        "n": state.n_atoms,
-        "coefficients": [list(pair) for pair in zip(
-            coefficients.real.tolist(), coefficients.imag.tolist())],
-        "renormalize": False,
-    }
+    """State-file dict; dump_document writes the coefficients as rows."""
+    return {"n": state.n_atoms, "coefficients": state.coefficients,
+            "renormalize": False}
 
 
 def parse_state(text: str) -> DickeState:

@@ -324,11 +324,12 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
                              np.linalg.norm(rho, axis=(1, 2))))
         per_atom_xp, per_atom_yp = (
             tuple(row) for row in (traces[:2] - traces[2:] ** 2).tolist())
-        # A real axis mixes the complex rows as a float gemv on their parts.
-        squares, means = [], []
+        # A real axis mixes the complex rows as a float gemv on their parts;
+        # |P psi|^2 is a float-view dot, as in the Gram product.
+        squares, means, mixed = [], [], spare.view(float)
         for axis in axes:
-            np.matmul(axis, lab.view(float), out=spare.view(float))
-            squares.append(float(np.vdot(spare, spare).real))
+            np.matmul(axis, lab.view(float), out=mixed)
+            squares.append(float(mixed @ mixed))
             means.append(np.vdot(psi, spare))
         means = _real_parts(means, lambda: np.sqrt(norm2 * np.array(squares)))
         variances = tuple(square / norm2 - (mean / norm2) ** 2

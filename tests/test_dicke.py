@@ -24,7 +24,7 @@ from spinent import (
     random_state,
     twisted_state,
 )
-from spinent.dicke import _ladder_factors, _lower, _raise
+from spinent.dicke import _ladder_factors, _lower, _m_of, _raise
 
 SQRT3 = math.sqrt(3.0)
 
@@ -291,6 +291,11 @@ class TestBitIdentity:
             assert np.array_equal(apply_jplus(state), _reference_up(n, c))
             assert np.array_equal(apply_jminus(state), _reference_down(n, c))
             assert np.array_equal(apply_jz(state), _reference_z(n, c))
+
+    @pytest.mark.parametrize("n", list(range(1, 300)) + [10 ** 6])
+    def test_m_matches_the_integer_range(self, n):
+        # m from a float range has the bits of the int range's cast.
+        assert np.array_equal(_m_of(n), n / 2.0 - np.arange(n + 1))
 
 
 class TestPairwiseCorrelators:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinent.errors import SpinentError
-from spinent.io import dump_document, parse_state
-from spinent.states import custom_state
+from spinent.io import dump_document, parse_state, state_document
+from spinent.states import CoherentSpec, coherent_state, custom_state, \
+    dicke_state, random_state, twisted_state
 
 
 def json_text(doc):
@@ -67,6 +68,63 @@ def test_non_finite_float_rejected(bad, wrap):
 def test_unsupported_types_rejected(doc):
     with pytest.raises(TypeError):
         dump_document(doc)
+
+
+def rows_of(array):
+    return [[z.real, z.imag] for z in array.tolist()]
+
+
+def _state_corpus():
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 3, 10, 100, 1000, 2000, 10_000):
+        spec = CoherentSpec(n, 1.1, 2.2)
+        for kind, state in (
+                ("coherent", coherent_state(spec)),
+                ("twist", twisted_state(spec, 0.3)),
+                ("dicke", dicke_state(n, n / 2.0 - n // 3)),
+                ("random", random_state(n, rng))):
+            yield pytest.param(state, id=f"{kind}-{n}")
+    yield pytest.param(custom_state(2, [complex(-0.0, 1.0),
+                                        complex(5e-324, -0.0),
+                                        complex(0.0, -5e-324)]),
+                       id="custom-subnormal-negative-zero")
+
+
+@pytest.mark.parametrize("state", list(_state_corpus()))
+def test_state_file_matches_json_of_its_rows(state):
+    doc = state_document(state)
+    assert doc["coefficients"] is state.coefficients
+    assert dump_document(doc) == json_text(
+        {**doc, "coefficients": rows_of(state.coefficients)})
+
+
+@settings(deadline=None)
+@given(st.lists(PAIRS, max_size=8).map(
+    lambda rows: np.array([complex(*row) for row in rows], dtype=complex)))
+def test_complex_array_matches_json_of_its_rows(array):
+    # Every other entry too, through a view that is not contiguous.
+    for value in (array, array[::2]):
+        doc = {"coefficients": value, "rows": [value]}
+        assert dump_document(doc) == json_text(
+            {"coefficients": rows_of(value), "rows": [rows_of(value)]})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+def test_non_finite_complex_entry_rejected(bad, part):
+    array = np.array([0.6, 0.8, 0.0], dtype=complex)
+    array.view(float)[2 * 2 + part] = bad
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_document({"n": 2, "coefficients": array})
+
+
+@pytest.mark.parametrize("array", [
+    np.array([0.6, 0.8]), np.zeros((2, 2), dtype=complex),
+    np.zeros(2, dtype=np.complex64), np.array(1j), np.array([1, 0]),
+], ids=["float", "2-d", "complex64", "0-d", "int"])
+def test_other_arrays_rejected(array):
+    with pytest.raises(TypeError):
+        dump_document({"coefficients": array})
 
 
 PAIRS_MESSAGE = "'coefficients' must be a list of [re, im] pairs"
