@@ -65,7 +65,6 @@ from .oracle import (
     dicke_to_full,
     full_to_dicke,
     single_atom_action,
-    single_atom_operator,
     oracle_metrics,
     schmidt_rank_two_atoms,
 )
@@ -96,8 +95,8 @@ __all__ = [
     "s_from_variances", "squeezing_parameters", "s_from_q",
     "spectroscopic_parameters", "s_from_xi", "classify", "analyze",
     "DEFAULT_DIMENSION_CAP", "FullState", "OracleReport", "dicke_to_full",
-    "full_to_dicke", "single_atom_action", "single_atom_operator",
-    "oracle_metrics", "schmidt_rank_two_atoms",
+    "full_to_dicke", "single_atom_action", "oracle_metrics",
+    "schmidt_rank_two_atoms",
     "CoherentSpec", "coherent_state", "dicke_state", "twisted_state",
     "custom_state", "random_state",
     "__version__",

@@ -135,14 +135,6 @@ class DickeState:
         """m for each coefficient index: j, j-1, ..., -j."""
         return _m_of(self.n_atoms)
 
-    def renormalized(self) -> "DickeState":
-        """Return a copy rescaled to unit norm.
-
-        Renormalization is never applied implicitly anywhere in the library;
-        this is the one explicit way to absorb small norm drift.
-        """
-        return DickeState(self.n_atoms, _unit_vector(self.coefficients))
-
 
 @dataclass(frozen=True)
 class CollectiveMoments:

@@ -177,17 +177,6 @@ def report_document(analysis: StateAnalysis) -> dict:
     }
 
 
-def parse_report(text: str) -> dict:
-    """Parse report text back to its document dict."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpinentError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "metrics" not in doc:
-        raise SpinentError("report must be an object with a 'metrics' key")
-    return doc
-
-
 def _format_cell(value: float | None, precision: int) -> str:
     if value is None:
         return "nan"

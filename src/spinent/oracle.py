@@ -28,8 +28,9 @@ and the matrix on (|u>, |l>) of the component along a lab axis a:
     z:  |u> -> (1/2)|u>,   |l> -> (-1/2)|l>
     a:  (1/2) [[a_z, a_x - i a_y], [a_x + i a_y, -a_z]]
 
-The exponential dimension is capped (default 14 atoms) and every function
-that allocates a 2**N vector takes an overridable cap.
+dicke_to_full, the one step from an O(N) input to a 2**N vector, alone
+holds the dimension cap (default 14 atoms) and refuses N >= 59, which numpy
+cannot size; every other entry point takes a FullState.
 """
 
 from __future__ import annotations
@@ -125,6 +126,10 @@ def _check_cap(n_atoms: int, cap: int):
     if n_atoms > cap:
         raise DimensionCapError(
             f"n_atoms={n_atoms} exceeds the 2**N dimension cap {cap}")
+    # 16 bytes per complex amplitude: from N = 59 on numpy cannot size it.
+    if 16 << n_atoms > np.iinfo(np.intp).max:
+        raise DimensionCapError(
+            f"n_atoms={n_atoms}: a 2**N complex vector is too large for numpy")
 
 
 def dicke_to_full(state: DickeState,
@@ -141,13 +146,12 @@ def dicke_to_full(state: DickeState,
                      (state.coefficients / np.sqrt(sizes))[weights])
 
 
-def full_to_dicke(state: FullState, tolerance: float = _SYMMETRY_TOLERANCE
-                  ) -> DickeState:
+def full_to_dicke(state: FullState) -> DickeState:
     """Project a full product-basis state back to ladder-basis coefficients.
 
     Requires genuine exchange symmetry: within every fixed-excitation orbit
-    all amplitudes must agree within tolerance of their mean.  The error
-    names the orbit holding the largest deviation.
+    all amplitudes must agree within 1e-10 of their mean.  The error names
+    the orbit holding the largest deviation.
     """
     weights, sizes = _orbits(state.n_atoms)
     amps = state.amplitudes
@@ -155,10 +159,10 @@ def full_to_dicke(state: FullState, tolerance: float = _SYMMETRY_TOLERANCE
                + 1j * np.bincount(weights, amps.imag)) / sizes
     deviation = np.abs(amps - centers[weights])
     worst = int(np.argmax(deviation))
-    if deviation[worst] > tolerance:
+    if deviation[worst] > _SYMMETRY_TOLERANCE:
         raise NotSymmetricError(
             f"orbit with {weights[worst]} excited lower levels has amplitude "
-            f"spread {deviation[worst]:.3e}, above {tolerance:.3e}")
+            f"spread {deviation[worst]:.3e}, above {_SYMMETRY_TOLERANCE:.3e}")
     return DickeState(state.n_atoms, centers * np.sqrt(sizes))
 
 
@@ -176,13 +180,6 @@ def single_atom_action(amplitudes: np.ndarray, n_atoms: int, atom_index: int,
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
     view = amplitudes.reshape(1 << atom_index, 2, -1)
     return (_HALF_PAULI[_AXES.index(axis)] @ view).reshape(-1)
-
-
-def single_atom_operator(state: FullState, atom_index: int,
-                         axis: str) -> np.ndarray:
-    """single_atom_action applied to a FullState's amplitudes."""
-    return single_atom_action(state.amplitudes, state.n_atoms, atom_index,
-                              axis)
 
 
 def schmidt_rank_two_atoms(state: FullState) -> int:
@@ -217,9 +214,7 @@ def _real_parts(values, scale) -> np.ndarray:
     return values.real
 
 
-def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
-                   epsilon: float = DEFAULT_EPSILON,
-                   s_tolerance: float = DEFAULT_S_TOLERANCE) -> OracleReport:
+def oracle_metrics(state: FullState) -> OracleReport:
     """Recompute the whole report in the 2**N space, reduction-free.
 
     Collective operators are sums of the N single-atom actions; rotated
@@ -227,9 +222,9 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
     never from the nine-moment expansion.  Per-atom variances are traces
     against each atom's 2x2 reduced density matrix, and pair correlators
     traces against the 4x4 one of atoms 0 and 1.  All are divided by the
-    squared norm, taken as the trace of that 4x4 matrix.
+    squared norm, taken as the trace of that 4x4 matrix.  Frame and report
+    use DEFAULT_EPSILON and DEFAULT_S_TOLERANCE.
     """
-    _check_cap(state.n_atoms, cap)
     n = state.n_atoms
     if n < 2:
         raise InsufficientAtomsError(
@@ -309,7 +304,7 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
     spin = mean_spin(moments)
 
     try:
-        frame = build_frame(spin, epsilon)
+        frame = build_frame(spin)
     except DegenerateMeanSpinError:
         frame = variances = per_atom_xp = per_atom_yp = None
     else:
@@ -335,8 +330,8 @@ def oracle_metrics(state: FullState, cap: int = DEFAULT_DIMENSION_CAP,
         variances = tuple(square / norm2 - (mean / norm2) ** 2
                           for square, mean in zip(squares, means.tolist()))
 
-    report = _assemble_report(n, variances, spin.magnitude, epsilon,
-                              s_tolerance)
+    report = _assemble_report(n, variances, spin.magnitude, DEFAULT_EPSILON,
+                              DEFAULT_S_TOLERANCE)
     return OracleReport(moments=moments, mean_spin=spin, frame=frame,
                         correlators=correlators,
                         per_atom_var_xp=per_atom_xp,

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, file formats, determinism."""
 
+import dataclasses
 import io
 import json
 import math
@@ -16,14 +17,15 @@ import pytest
 import spinent.cli
 import spinent.dicke
 import spinent.metrics
-from spinent import CoherentSpec, analyze, coherent_state, custom_state, \
-    pairwise_correlators, random_state
+from spinent import DEFAULT_EPSILON, DEFAULT_S_TOLERANCE, CoherentSpec, \
+    analyze, coherent_state, custom_state, pairwise_correlators, \
+    random_state, twisted_state
 from spinent.cli import _build_parser, main
 from spinent.dicke import _correlators_from_moments
+from spinent.metrics import _assemble_report
 from spinent.io import (
     CSV_HEADER,
     dump_document,
-    parse_report,
     parse_state,
     report_document,
 )
@@ -112,6 +114,27 @@ class TestMakeState:
                             "0.6", "0", "0.8j"], capsys)
         assert code == 0
         assert parse_state(out).coefficients[2] == 0.8j
+
+    @pytest.mark.parametrize("argv, check", [
+        (["custom", "--n", "1", "--coeffs", "0.6", "-0.8j"],
+         lambda state: state.coefficients[1] == -0.8j),
+        (["custom", "--n", "1", "--coeffs", "-.6", "-8e-1"],
+         lambda state: state.coefficients.tolist() == [-0.6, -0.8]),
+        (["twist", "--n", "4", "--theta", "1", "--mu", "-1e-3"],
+         lambda state: state.coefficients.tolist() == twisted_state(
+             CoherentSpec(4, 1.0), -1e-3).coefficients.tolist()),
+    ])
+    def test_negative_scientific_and_complex_tokens(self, argv, check,
+                                                    capsys):
+        code, out, err = run(["make-state", *argv], capsys)
+        assert (code, err) == (0, "")
+        assert check(parse_state(out))
+
+    def test_option_after_coefficients_still_refused(self, capsys):
+        code, out, err = run(["make-state", "custom", "--n", "1",
+                              "--coeffs", "0.6", "--bogus"], capsys)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --bogus" in err
 
     def test_missing_flag_exits_1(self, capsys):
         code, _, err = run(["make-state", "twist", "--n", "4",
@@ -214,7 +237,7 @@ class TestAnalyze:
         path = self.make_file(tmp_path, [SQRT3 / 2, 0.0, 0.5])
         code, out, _ = run(["analyze", path], capsys)
         assert code == 0
-        doc = parse_report(out)
+        doc = json.loads(out)
         assert doc["classification"] == "entangled"
         assert abs(doc["metrics"]["s_param"] - 3.0 / 16.0) < 1e-12
         assert doc["degenerate_frame"] is False
@@ -225,7 +248,7 @@ class TestAnalyze:
         monkeypatch.setattr(sys, "stdin", io.StringIO(state_text))
         code, out, _ = run(["analyze", "-"], capsys)
         assert code == 0
-        doc = parse_report(out)
+        doc = json.loads(out)
         assert doc["classification"] == "unentangled"
         assert abs(doc["mean_spin"]["magnitude"] - 2.5) < 1e-10
 
@@ -234,7 +257,7 @@ class TestAnalyze:
         path = self.make_file(tmp_path, [ghz, 0.0, ghz])
         code, out, _ = run(["analyze", path], capsys)
         assert code == 2
-        doc = parse_report(out)
+        doc = json.loads(out)
         assert doc["classification"] == "degenerate-frame"
         assert doc["frame"] is None
         assert doc["metrics"]["s_param"] is None
@@ -245,7 +268,7 @@ class TestAnalyze:
         code, out, _ = run(["analyze", path, "--s-tolerance", "0.5"],
                            capsys)
         assert code == 0
-        assert parse_report(out)["classification"] == "unentangled"
+        assert json.loads(out)["classification"] == "unentangled"
 
     def test_renormalize_flag_honored(self, tmp_path, capsys):
         path = tmp_path / "loose.json"
@@ -256,7 +279,7 @@ class TestAnalyze:
         }), encoding="utf-8")
         code, out, _ = run(["analyze", str(path)], capsys)
         assert code == 0
-        assert parse_report(out)["classification"] == "entangled"
+        assert json.loads(out)["classification"] == "entangled"
 
     def test_unnormalized_without_flag_exit_1(self, tmp_path, capsys):
         path = self.make_file(tmp_path, [3.0, 0.0, 4.0])
@@ -290,6 +313,15 @@ class TestAnalyze:
         path = self.make_file(tmp_path, [1.0, 0.0, 0.0, 0.0, 0.0], n=4)
         assert_input_error(*run(["analyze", path,
                                  f"--s-tolerance={tolerance}"], capsys))
+
+    @pytest.mark.parametrize("tolerance", ["-1", "-1e-3", "-.5E+1"])
+    def test_negative_s_tolerance_token(self, tolerance, tmp_path, capsys):
+        # A separate negative token reaches the library's own check.
+        path = self.make_file(tmp_path, [1.0, 0.0, 0.0, 0.0, 0.0], n=4)
+        code, out, err = run(["analyze", path, "--s-tolerance", tolerance],
+                             capsys)
+        assert_input_error(code, out, err)
+        assert "must be non-negative" in err
 
     def test_single_atom_exit_1(self, tmp_path, capsys):
         path = self.make_file(tmp_path, [1.0, 0.0], n=1)
@@ -334,7 +366,7 @@ class TestAnalyze:
         path.write_text(out, encoding="utf-8")
         code, out, err = run_strict(["analyze", str(path)], capsys)
         assert (code, err) == (0, "")
-        assert parse_report(out)["classification"] == "entangled"
+        assert json.loads(out)["classification"] == "entangled"
 
     def test_near_zero_variance_axis_exit_0(self, tmp_path, capsys):
         # |m=0> + 1e-6 |m=1> at N = 300, turned by pi/2 about x and by phi
@@ -352,7 +384,7 @@ class TestAnalyze:
         path = self.make_file(tmp_path, coeffs / np.linalg.norm(coeffs), n)
         code, out, err = run_strict(["analyze", path], capsys)
         assert (code, err) == (0, "")
-        doc = parse_report(out)
+        doc = json.loads(out)
         assert doc["classification"] == "entangled"
         assert doc["metrics"]["var_yp"] >= 0.0
 
@@ -365,14 +397,14 @@ class TestAnalyze:
     def test_report_is_serialization_fixed_point(self, tmp_path, capsys):
         path = self.make_file(tmp_path, [SQRT3 / 2, 0.0, 0.5])
         _, out, _ = run(["analyze", path], capsys)
-        assert dump_document(parse_report(out)) == out
+        assert dump_document(json.loads(out)) == out
 
     def test_report_matches_library(self, tmp_path, capsys):
         coeffs = [SQRT3 / 2, 0.0, 0.5]
         path = self.make_file(tmp_path, coeffs)
         _, out, _ = run(["analyze", path], capsys)
         direct = report_document(analyze(custom_state(2, coeffs)))
-        assert parse_report(out) == direct
+        assert json.loads(out) == direct
 
 
 class TestSweep:
@@ -388,6 +420,13 @@ class TestSweep:
         assert s_values[1] > 1e-5
         assert table[1][10] == "entangled"
         assert all(b >= a for a, b in zip(s_values, s_values[1:]))
+
+    def test_negative_scientific_start(self, capsys):
+        code, out, err = run(["sweep", "twist", "--n", "4", "--start",
+                              "-1e-3", "--stop", "0", "--steps", "2"],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert [row[0] for row in rows(out)] == ["-0.001", "0"]
 
     def test_twist_deterministic(self, capsys):
         argv = ["sweep", "twist", "--n", "8", "--start", "0.01",
@@ -504,6 +543,15 @@ class TestOracleCheck:
         assert code == 1
         assert "cap" in err
 
+    @pytest.mark.parametrize("n", ["64", "2..64"])
+    def test_numpy_size_limit_exit_1(self, n, capsys):
+        # Refused by the cap rule before any state is drawn.
+        code, out, err = run(["oracle-check", "--n", n, "--cap", "64",
+                              "--trials", "1"], capsys)
+        assert_input_error(code, out, err)
+        assert err.count("\n") == 1
+        assert "too large for numpy" in err
+
     def test_bad_range_exit_1(self, capsys):
         code, _, err = run(["oracle-check", "--n", "8..2"], capsys)
         assert code == 1
@@ -514,6 +562,36 @@ class TestOracleCheck:
                            capsys)
         assert code == 1
         assert "trials" in err
+
+    def test_negative_seed_exit_1(self, capsys):
+        code, out, err = run(["oracle-check", "--n", "3", "--seed", "-1"],
+                             capsys)
+        assert_input_error(code, out, err)
+        assert "--seed" in err
+
+    def test_one_degenerate_side_counts_once(self, capsys, monkeypatch):
+        # The oracle reports its first state degenerate and the ladder
+        # path does not: one state disagrees, once.
+        original, calls = spinent.cli.oracle_metrics, []
+
+        def degenerate_first(full):
+            result = original(full)
+            calls.append(full)
+            if len(calls) > 1:
+                return result
+            return dataclasses.replace(
+                result, frame=None, per_atom_var_xp=None,
+                per_atom_var_yp=None, report=_assemble_report(
+                    full.n_atoms, None, result.mean_spin.magnitude,
+                    DEFAULT_EPSILON, DEFAULT_S_TOLERANCE))
+
+        monkeypatch.setattr(spinent.cli, "oracle_metrics", degenerate_first)
+        code, out, _ = run(["oracle-check", "--n", "3", "--trials", "2"],
+                           capsys)
+        assert code == 1
+        assert len(calls) == 2
+        assert "classification mismatches: 1\n" in out
+        assert "result: FAIL" in out
 
     def test_one_moment_pass_per_state(self, capsys, monkeypatch):
         # The ladder correlators come from analyze's moments, so each state

@@ -19,6 +19,7 @@ from spinent import (
     apply_jz,
     coherent_state,
     collective_moments,
+    custom_state,
     dicke_state,
     pairwise_correlators,
     random_state,
@@ -89,11 +90,13 @@ class TestDickeState:
             state.coefficients[0] = 0.0
 
     def test_renormalized_is_explicit_and_exact(self):
-        state = DickeState(2, [1.0 + 4e-7, 0.0, 0.0])
-        fixed = state.renormalized()
+        # Drift within NORM_TOLERANCE is kept as given unless asked for.
+        coefficients = [1.0 + 4e-7, 0.0, 0.0]
+        state = DickeState(2, coefficients)
+        fixed = custom_state(2, coefficients, renormalize=True)
         assert_allclose(np.sum(np.abs(fixed.coefficients) ** 2), 1.0,
                         atol=1e-15)
-        # The original is untouched.
+        assert state.coefficients[0] == coefficients[0]
         assert state.coefficients[0] != fixed.coefficients[0]
 
 

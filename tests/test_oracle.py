@@ -1,6 +1,7 @@
 """Brute-force 2**N path: operator actions, basis maps, full cross-check."""
 
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -42,7 +43,6 @@ from spinent import (
     rotation_matrix,
     schmidt_rank_two_atoms,
     single_atom_action,
-    single_atom_operator,
     spectroscopic_parameters,
     squeezing_parameters,
     twisted_state,
@@ -68,32 +68,34 @@ def _embed(coeffs, n):
 
 class TestSingleAtomAction:
     def test_z_reads_the_bit(self):
-        state = FullState(2, [1.0, 0.0, 0.0, 0.0])
-        assert_allclose(single_atom_operator(state, 0, "z"),
+        s = FullState(2, [1.0, 0.0, 0.0, 0.0])
+        assert_allclose(single_atom_action(s.amplitudes, s.n_atoms, 0, "z"),
                         [0.5, 0.0, 0.0, 0.0])
-        assert_allclose(single_atom_operator(state, 1, "z"),
+        assert_allclose(single_atom_action(s.amplitudes, s.n_atoms, 1, "z"),
                         [0.5, 0.0, 0.0, 0.0])
 
     def test_x_flips_the_addressed_atom(self):
-        state = FullState(2, [1.0, 0.0, 0.0, 0.0])
+        s = FullState(2, [1.0, 0.0, 0.0, 0.0])
         # Atom 0 is the most significant bit.
-        assert_allclose(single_atom_operator(state, 0, "x"),
+        assert_allclose(single_atom_action(s.amplitudes, s.n_atoms, 0, "x"),
                         [0.0, 0.0, 0.5, 0.0])
-        assert_allclose(single_atom_operator(state, 1, "x"),
+        assert_allclose(single_atom_action(s.amplitudes, s.n_atoms, 1, "x"),
                         [0.0, 0.5, 0.0, 0.0])
 
     def test_y_signs(self):
         up = FullState(1, [1.0, 0.0])
         down = FullState(1, [0.0, 1.0])
-        assert_allclose(single_atom_operator(up, 0, "y"), [0.0, 0.5j])
-        assert_allclose(single_atom_operator(down, 0, "y"), [-0.5j, 0.0])
+        assert_allclose(single_atom_action(up.amplitudes, 1, 0, "y"),
+                        [0.0, 0.5j])
+        assert_allclose(single_atom_action(down.amplitudes, 1, 0, "y"),
+                        [-0.5j, 0.0])
 
     def test_index_and_axis_validation(self):
-        state = FullState(2, [1.0, 0.0, 0.0, 0.0])
+        s = FullState(2, [1.0, 0.0, 0.0, 0.0])
         with pytest.raises(IndexError):
-            single_atom_operator(state, 2, "x")
+            single_atom_action(s.amplitudes, s.n_atoms, 2, "x")
         with pytest.raises(ValueError):
-            single_atom_operator(state, 0, "w")
+            single_atom_action(s.amplitudes, s.n_atoms, 0, "w")
 
     @pytest.mark.parametrize("n,atom", [(1, 0), (3, 1), (4, 3)])
     def test_same_atom_commutator(self, n, atom):
@@ -233,6 +235,21 @@ class TestBasisMaps:
         coeffs[0] = 1.0
         full = dicke_to_full(DickeState(15, coeffs), cap=15)
         assert full.amplitudes.shape == (1 << 15,)
+
+    @pytest.mark.parametrize("n", [59, 60, 64, 100])
+    def test_numpy_size_limit(self, n):
+        # A complex 2**N vector numpy cannot size is refused under any cap,
+        # before anything is allocated.
+        coeffs = np.zeros(n + 1)
+        coeffs[0] = 1.0
+        with pytest.raises(DimensionCapError, match="too large for numpy"):
+            dicke_to_full(DickeState(n, coeffs), cap=n)
+
+    def test_only_the_expansion_takes_a_setting(self):
+        for entry in (full_to_dicke, oracle_metrics):
+            assert list(inspect.signature(entry).parameters) == ["state"]
+        assert list(inspect.signature(dicke_to_full).parameters) \
+            == ["state", "cap"]
 
     def test_full_state_validation(self):
         with pytest.raises(ValueError):
@@ -401,12 +418,15 @@ class TestOracleMetrics:
         with pytest.raises(InsufficientAtomsError):
             oracle_metrics(FullState(1, [1.0, 0.0]))
 
-    def test_cap_enforced(self):
+    def test_no_cap_past_the_expansion(self):
+        # A FullState's 2**N amplitudes exist already: only dicke_to_full
+        # holds the cap.
         coeffs = np.zeros(16)
         coeffs[0] = 1.0
         full = dicke_to_full(DickeState(15, coeffs), cap=15)
-        with pytest.raises(DimensionCapError):
-            oracle_metrics(full)
+        result = oracle_metrics(full)
+        assert result.report.classification is Classification.UNENTANGLED
+        assert_allclose(result.moments.jz, 7.5, rtol=1e-14)
 
 
 def _brute_force(full):

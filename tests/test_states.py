@@ -228,13 +228,6 @@ class TestCustomState:
         with pytest.raises(NormalizationError, match=cause):
             custom_state(1, coefficients, renormalize=True)
 
-    def test_renormalized_shares_the_rescaling(self):
-        coefficients = [0.36 + 0.48j, 0.0, 0.8 + 4e-7]
-        drifted = DickeState(2, coefficients)
-        rescaled = custom_state(2, coefficients, renormalize=True)
-        assert drifted.renormalized().coefficients.tobytes() \
-            == rescaled.coefficients.tobytes()
-
 
 class TestAtomCount:
     # Every factory and spec raises the same SpinentError for a count that
