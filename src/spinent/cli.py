@@ -44,9 +44,10 @@ _CORRELATOR_NAMES = tuple(f.name for f in fields(PairCorrelators))
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # -1e-3 and -0.8j are values too, not just -1 and -.5; no option
-        # here looks like a number.
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # -1e-3, -0.8j, -inf and -nan are values too, not just -1 and -.5;
+        # no option here looks like a number or starts -inf or -nan.
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)",
+                                                   re.IGNORECASE)
 
     # Usage errors must exit 1; argparse defaults to 2, which is reserved
     # for the degenerate-frame outcome.

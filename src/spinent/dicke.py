@@ -20,7 +20,6 @@ product of the float views of a and b; imaginary parts are never formed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,31 +44,6 @@ def _check_norm(amplitudes: np.ndarray) -> float:
             f"squared amplitude magnitudes sum to {norm2!r}, "
             f"more than {NORM_TOLERANCE} away from 1")
     return norm2
-
-
-def _unit_vector(amplitudes: np.ndarray) -> np.ndarray:
-    """amplitudes rescaled to unit norm, or NormalizationError saying why not.
-
-    Divided by a power of two near the largest real or imaginary part first,
-    so that the norm neither overflows nor underflows whatever the scale of
-    the input.  That division is exact, so an input the plain norm handles
-    keeps its bits.
-    """
-    largest = float(np.max(np.abs([amplitudes.real, amplitudes.imag]),
-                           initial=0.0))
-    if math.isnan(largest):
-        raise NormalizationError("cannot renormalize a NaN amplitude")
-    if math.isinf(largest):
-        raise NormalizationError("cannot renormalize an infinite amplitude")
-    if largest == 0.0:
-        raise NormalizationError("cannot renormalize the zero vector")
-    scale = math.ldexp(0.5, math.frexp(largest)[1])
-    # Part by part: numpy's complex division would take 1/scale, which
-    # overflows for a subnormal scale.
-    scaled = np.empty_like(amplitudes)
-    scaled.real = amplitudes.real / scale
-    scaled.imag = amplitudes.imag / scale
-    return scaled / np.linalg.norm(scaled)
 
 
 def _atom_count(n_atoms) -> int:

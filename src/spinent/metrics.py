@@ -18,6 +18,8 @@ the mean spin can change it.  S is exposed
 through four algebraically identical routes (from corr, from the variances,
 from the squeezing parameters Q, and from the spectroscopic parameters xi)
 plus an independent pairwise-correlator evaluation used for cross-checks.
+classify holds the whole threshold rule on S, rounding floor included;
+analyze and the 2**N oracle classify through it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .dicke import DickeState, CollectiveMoments, collective_moments, \
-    pairwise_correlators
+from .dicke import DickeState, CollectiveMoments, _atom_count, \
+    collective_moments, pairwise_correlators
 from .errors import DegenerateMeanSpinError, InsufficientAtomsError, \
     SpinentError
 from .frame import DEFAULT_EPSILON, Frame, MeanSpin, _transverse_axes, \
@@ -51,9 +53,8 @@ class Classification(Enum):
 class MetricsReport:
     """Full set of scalar diagnostics for one state.
 
-    All float fields are None when the mean spin is degenerate (no frame,
-    classification DEGENERATE_FRAME); xi_rx and xi_ry additionally require a
-    nonzero mean-spin length.
+    All float fields are None exactly when the mean spin is degenerate (no
+    frame, classification DEGENERATE_FRAME).
     """
 
     n_atoms: int
@@ -84,12 +85,13 @@ class StateAnalysis:
     report: MetricsReport
 
 
-def _quadratic_form(axis: tuple[float, float, float], xx: float, yy: float,
-                    zz: float, xy: float, xz: float, yz: float) -> float:
-    """axis . M . axis for the symmetric 3x3 matrix M with these entries."""
-    a, b, c = axis
-    return (a * a * xx + b * b * yy + c * c * zz
-            + 2.0 * (a * b * xy + a * c * xz + b * c * yz))
+def _transverse_forms(frame: Frame, xx: float, yy: float, zz: float,
+                      xy: float, xz: float, yz: float) -> list[float]:
+    """x' and y' quadratic forms of the symmetric lab matrix with these
+    entries, axis . M . axis for each of the frame's transverse axes."""
+    return [a * a * xx + b * b * yy + c * c * zz
+            + 2.0 * (a * b * xy + a * c * xz + b * c * yz)
+            for a, b, c in _transverse_axes(frame)]
 
 
 def transverse_variances(moments: CollectiveMoments,
@@ -102,11 +104,10 @@ def transverse_variances(moments: CollectiveMoments,
     semidefinite, so a negative form is rounding (about ulp(1) j(j+1) in
     size) and is clamped to zero; -0.0 and NaN pass through.
     """
-    x_axis, y_axis = _transverse_axes(frame)
-    second = (moments.jx2, moments.jy2, moments.jz2, 0.5 * moments.sym_xy,
-              0.5 * moments.sym_xz, 0.5 * moments.sym_yz)
-    return (max(_quadratic_form(x_axis, *second), 0.0),
-            max(_quadratic_form(y_axis, *second), 0.0))
+    var_xp, var_yp = _transverse_forms(
+        frame, moments.jx2, moments.jy2, moments.jz2, 0.5 * moments.sym_xy,
+        0.5 * moments.sym_xz, 0.5 * moments.sym_yz)
+    return max(var_xp, 0.0), max(var_yp, 0.0)
 
 
 def correlation_terms(var_xp: float, var_yp: float,
@@ -130,11 +131,9 @@ def correlation_terms_pairwise(state: DickeState,
     """
     g = pairwise_correlators(state)
     pairs = state.n_atoms * (state.n_atoms - 1)
-    scaled = tuple(pairs * value
-                   for value in (g.xx, g.yy, g.zz, g.xy, g.xz, g.yz))
-    x_axis, y_axis = _transverse_axes(frame)
-    return (_quadratic_form(x_axis, *scaled),
-            _quadratic_form(y_axis, *scaled))
+    return tuple(_transverse_forms(
+        frame, *(pairs * value
+                 for value in (g.xx, g.yy, g.zz, g.xy, g.xz, g.yz))))
 
 
 def entanglement_parameter(corr_x: float, corr_y: float) -> float:
@@ -210,23 +209,25 @@ def s_from_xi(xi_rx: float, xi_ry: float, magnitude: float,
                             xi_ry * xi_ry * m2 / (2.0 * j), n_atoms)
 
 
-def classify(s_param: float | None, degenerate_frame: bool = False,
+def classify(s_param: float | None, n_atoms: int,
              s_tolerance: float = DEFAULT_S_TOLERANCE) -> Classification:
-    """Map S to a classification; tolerance absorbs rounding around zero.
+    """The whole S rule: entangled when S exceeds the threshold.
 
-    s_tolerance is used as given; only analyze and oracle_metrics raise it
-    to max(s_tolerance, 10*(ulp(1)*N**2)**2).  Every report is classified
-    here, so a negative or NaN s_tolerance raises for any state.
+    The threshold is max(s_tolerance, 10*(ulp(1)*N**2)**2), s_tolerance
+    raised to the rounding floor of S at N atoms.  s_param None means a
+    degenerate frame, the one case in which a report's metrics are None.
+    A negative or NaN s_tolerance raises for any state, checked first, and
+    so does an n_atoms that is not a positive integer.
     """
     # Negated so that a NaN tolerance is rejected too.
     if not s_tolerance >= 0.0:
         raise SpinentError(
             f"s_tolerance must be non-negative, got {s_tolerance!r}")
-    if degenerate_frame:
-        return Classification.DEGENERATE_FRAME
+    n_atoms = _atom_count(n_atoms)
     if s_param is None:
-        raise SpinentError("s_param is required for a non-degenerate frame")
-    if s_param <= s_tolerance:
+        return Classification.DEGENERATE_FRAME
+    floor = _S_FLOOR_FACTOR * (math.ulp(1.0) * n_atoms * n_atoms) ** 2
+    if s_param <= max(s_tolerance, floor):
         return Classification.UNENTANGLED
     return Classification.ENTANGLED
 
@@ -237,12 +238,7 @@ def _assemble_report(n_atoms: int, variances: tuple[float, float] | None,
     """Report from the transverse variances (None: degenerate frame).
 
     analyze and the 2**N oracle share it, and nothing before the variances.
-    A valid s_tolerance is raised to the rounding floor of S.
     """
-    # classify rejects an invalid s_tolerance, which max() would hide.
-    if s_tolerance >= 0.0:
-        s_tolerance = max(s_tolerance, _S_FLOOR_FACTOR
-                          * (math.ulp(1.0) * n_atoms * n_atoms) ** 2)
     if variances is None:
         values = (None,) * len(_METRIC_NAMES)
         s_param = None
@@ -257,7 +253,7 @@ def _assemble_report(n_atoms: int, variances: tuple[float, float] | None,
         values = (var_xp, var_yp, corr_x, corr_y, s_param, q_x, q_y, xi_rx,
                   xi_ry)
     return MetricsReport(n_atoms, *values,
-                         classify(s_param, variances is None, s_tolerance))
+                         classify(s_param, n_atoms, s_tolerance))
 
 
 def analyze(state: DickeState, epsilon: float = DEFAULT_EPSILON,

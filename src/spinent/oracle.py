@@ -44,9 +44,8 @@ from .dicke import DickeState, CollectiveMoments, PairCorrelators, \
 from .errors import DegenerateMeanSpinError, DimensionCapError, \
     InsufficientAtomsError, NotSymmetricError, SpinentError, \
     WrongAtomCountError
-from .frame import DEFAULT_EPSILON, Frame, MeanSpin, _transverse_axes, \
-    build_frame, mean_spin
-from .metrics import MetricsReport, DEFAULT_S_TOLERANCE, _assemble_report
+from .frame import DEFAULT_EPSILON, _transverse_axes, build_frame, mean_spin
+from .metrics import DEFAULT_S_TOLERANCE, StateAnalysis, _assemble_report
 # Unused here, but bench/tracing.py wraps these names on this module.
 from .metrics import classify, correlation_terms, entanglement_parameter, \
     spectroscopic_parameters, squeezing_parameters
@@ -87,23 +86,19 @@ class FullState:
 
 
 @dataclass(frozen=True)
-class OracleReport:
-    """Everything the brute-force path computes for one state.
+class OracleReport(StateAnalysis):
+    """A StateAnalysis from the 2**N path, plus what only that path sees.
 
     per_atom_var_xp / per_atom_var_yp hold the rotated single-atom variances
     (1/4 each, to rounding, for exchange-symmetric states, whatever the norm
-    drift); correlators is the direct
-    two-site evaluation on atoms 0 and 1.  Frame-degenerate states carry
-    frame None and a report with None metrics, like the ladder path.
+    drift); correlators is the direct two-site evaluation on atoms 0 and 1.
+    Frame-degenerate states carry frame None and a report with None
+    metrics, like the ladder path.
     """
 
-    moments: CollectiveMoments
-    mean_spin: MeanSpin
-    frame: Frame | None
     correlators: PairCorrelators | None
     per_atom_var_xp: tuple[float, ...] | None
     per_atom_var_yp: tuple[float, ...] | None
-    report: MetricsReport
 
 
 def _count_bits(out: np.ndarray, first, step) -> np.ndarray:

@@ -8,8 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dicke import DickeState, _atom_count, _m_of, _unit_vector
-from .errors import InvalidQuantumNumberError, SpinentError
+from .dicke import DickeState, _atom_count, _m_of
+from .errors import InvalidQuantumNumberError, NormalizationError, \
+    SpinentError
 
 _M_TOLERANCE = 1e-9
 
@@ -99,6 +100,31 @@ def twisted_state(spec: CoherentSpec, mu: float) -> DickeState:
     m = _m_of(spec.n_atoms)
     return DickeState(spec.n_atoms,
                       _coherent_coefficients(spec) * np.exp(-1j * mu * m * m))
+
+
+def _unit_vector(amplitudes: np.ndarray) -> np.ndarray:
+    """amplitudes rescaled to unit norm, or NormalizationError saying why not.
+
+    Divided by a power of two near the largest real or imaginary part first,
+    so that the norm neither overflows nor underflows whatever the scale of
+    the input.  That division is exact, so an input the plain norm handles
+    keeps its bits.
+    """
+    largest = float(np.max(np.abs([amplitudes.real, amplitudes.imag]),
+                           initial=0.0))
+    if math.isnan(largest):
+        raise NormalizationError("cannot renormalize a NaN amplitude")
+    if math.isinf(largest):
+        raise NormalizationError("cannot renormalize an infinite amplitude")
+    if largest == 0.0:
+        raise NormalizationError("cannot renormalize the zero vector")
+    scale = math.ldexp(0.5, math.frexp(largest)[1])
+    # Part by part: numpy's complex division would take 1/scale, which
+    # overflows for a subnormal scale.
+    scaled = np.empty_like(amplitudes)
+    scaled.real = amplitudes.real / scale
+    scaled.imag = amplitudes.imag / scale
+    return scaled / np.linalg.norm(scaled)
 
 
 def custom_state(n_atoms: int, coefficients: Sequence[complex],

@@ -136,6 +136,23 @@ class TestMakeState:
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --bogus" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["make-state", "dicke", "--n", "2", "--m", "-inf"], "m=-inf"),
+        (["make-state", "coherent", "--n", "2", "--theta", "-nan"],
+         "theta must lie in"),
+        (["make-state", "twist", "--n", "2", "--theta", "1", "--mu", "-INF"],
+         "mu must be finite"),
+        (["sweep", "coherent", "--n", "2", "--start", "-inf", "--stop", "1",
+          "--steps", "3"], "--start and --stop must be finite"),
+        (["make-state", "custom", "--n", "1", "--coeffs", "1", "-info"],
+         "cannot parse coefficient '-info'"),
+    ])
+    def test_negative_non_finite_token_is_a_value(self, argv, message,
+                                                  capsys):
+        # The library's message, not argparse's "expected one argument".
+        code, out, err = run(argv, capsys)
+        assert_input_error(code, out, err)
+        assert message in err
     def test_missing_flag_exits_1(self, capsys):
         code, _, err = run(["make-state", "twist", "--n", "4",
                             "--theta", "1.0"], capsys)

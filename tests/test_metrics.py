@@ -243,30 +243,47 @@ class TestSpectroscopicParameters:
 
 class TestClassify:
     def test_below_tolerance_is_unentangled(self):
-        assert classify(5e-11) is Classification.UNENTANGLED
+        assert classify(5e-11, 2) is Classification.UNENTANGLED
 
     def test_above_tolerance_is_entangled(self):
-        assert classify(2e-10) is Classification.ENTANGLED
+        assert classify(2e-10, 2) is Classification.ENTANGLED
 
     def test_degenerate_frame_wins(self):
-        assert classify(None, degenerate_frame=True) \
-            is Classification.DEGENERATE_FRAME
+        # A report's metrics are None exactly for a degenerate frame.
+        for n_atoms in (2, 10**6):
+            assert classify(None, n_atoms) is Classification.DEGENERATE_FRAME
 
     def test_custom_tolerance(self):
-        assert classify(0.5, s_tolerance=1.0) is Classification.UNENTANGLED
-
-    def test_missing_s_param_is_a_spinent_error(self):
-        with pytest.raises(SpinentError, match="s_param is required"):
-            classify(None)
+        assert classify(0.5, 2, s_tolerance=1.0) \
+            is Classification.UNENTANGLED
 
     @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
     def test_bad_tolerance_rejected_first(self, tolerance):
-        for s_param, degenerate in ((0.0, False), (None, True)):
-            with pytest.raises(SpinentError, match="s_tolerance"):
-                classify(s_param, degenerate, s_tolerance=tolerance)
+        # Before n_atoms, and whether or not the frame is degenerate.
+        for s_param in (0.0, None):
+            for n_atoms in (2, True, 0):
+                with pytest.raises(SpinentError, match="s_tolerance"):
+                    classify(s_param, n_atoms, s_tolerance=tolerance)
 
     def test_zero_tolerance_allowed(self):
-        assert classify(0.0, s_tolerance=0.0) is Classification.UNENTANGLED
+        assert classify(0.0, 2, s_tolerance=0.0) \
+            is Classification.UNENTANGLED
+
+    @pytest.mark.parametrize("n_atoms", [True, False, 0, -3, 2.0, None])
+    @pytest.mark.parametrize("s_param", [0.0, None])
+    def test_bad_atom_count_rejected(self, s_param, n_atoms):
+        # classify(s, True), the old degenerate-frame flag, is not N = 1.
+        with pytest.raises(SpinentError, match="n_atoms"):
+            classify(s_param, n_atoms)
+
+    def test_floor_grows_with_n(self):
+        # 10 (ulp(1) N**2)**2 is 4.9e-19 at N = 1000 and 4.9e-7 at 10**6.
+        assert classify(1e-9, 1000) is Classification.ENTANGLED
+        assert classify(1e-9, 10**6) is Classification.UNENTANGLED
+        assert classify(1e-18, 1000, s_tolerance=0.0) \
+            is Classification.ENTANGLED
+        assert classify(1e-19, 1000, s_tolerance=0.0) \
+            is Classification.UNENTANGLED
 
 
 class TestAnalyzePipeline:
@@ -353,6 +370,8 @@ class TestLargeN:
     def test_coherent_unentangled_at_a_million(self, theta, phi):
         r = analyze(coherent_state(CoherentSpec(10**6, theta, phi))).report
         assert r.classification is Classification.UNENTANGLED, r.s_param
+        # The report's S, classified by hand, gets the report's class.
+        assert classify(r.s_param, 10**6) is r.classification
         assert_allclose((r.q_x, r.q_y), (1.0, 1.0), atol=1e-9)
 
     @pytest.mark.parametrize("n, mu", [(100_000, 3e-8), (10**6, 3e-9)])
@@ -369,6 +388,8 @@ class TestLargeN:
         s = analyze(state).report.s_param
         assert 1e-13 < s < 1e-10
         assert analyze(state, s_tolerance=0.0).report.classification \
+            is Classification.ENTANGLED
+        assert classify(s, 1000, s_tolerance=0.0) \
             is Classification.ENTANGLED
         assert analyze(state).report.classification \
             is Classification.UNENTANGLED

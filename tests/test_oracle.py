@@ -26,6 +26,7 @@ from spinent import (
     NormalizationError,
     NotSymmetricError,
     SpinentError,
+    StateAnalysis,
     WrongAtomCountError,
     analyze,
     build_frame,
@@ -48,6 +49,7 @@ from spinent import (
     twisted_state,
 )
 from spinent.dicke import CollectiveMoments, _ladder_factors, _lower, _raise
+from spinent.io import report_document
 from spinent.oracle import _real_parts
 
 SQRT3 = math.sqrt(3.0)
@@ -347,6 +349,21 @@ class TestOracleMetrics:
         assert oracle.frame is None
         assert oracle.per_atom_var_xp is None
         assert oracle.per_atom_var_yp is None
+
+    def test_result_is_a_state_analysis(self):
+        # Whatever takes analyze's result takes the oracle's.
+        state = twisted_state(CoherentSpec(6, 1.1, 0.4), 0.3)
+        ladder = report_document(analyze(state))
+        oracle = oracle_metrics(dicke_to_full(state))
+        assert isinstance(oracle, StateAnalysis)
+        document = report_document(oracle)
+        assert list(document) == list(ladder)
+        assert document["classification"] == ladder["classification"] \
+            == "entangled"
+        for group in ("mean_spin", "frame", "metrics"):
+            assert list(document[group]) == list(ladder[group])
+            assert_allclose(list(document[group].values()),
+                            list(ladder[group].values()), atol=1e-12)
 
     def test_pair_choice_does_not_matter(self):
         # <J_ia J_lb> must be identical for every atom pair and symmetric

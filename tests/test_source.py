@@ -187,6 +187,17 @@ def test_oracle_has_one_residue_rule():
     assert "<module>" not in absolute
 
 
+def test_classify_alone_reads_the_s_floor():
+    # The threshold on S, rounding floor included, has one home, so a
+    # report and a hand call of classify cannot disagree.
+    readers = {path.stem: _functions_reading(
+                   ast.parse(path.read_text(encoding="utf-8")),
+                   {"_S_FLOOR_FACTOR"})
+               for path in sorted(SOURCE.glob("*.py"))}
+    assert {stem: found for stem, found in readers.items() if found} == \
+        {"metrics": {"classify"}}
+
+
 @pytest.mark.parametrize("source, expected", [
     ("X = 1\ndef f():\n    return X\n", {"f"}),
     ("X = 1\ndef f():\n    return lambda: X\n", {"f"}),
@@ -259,3 +270,54 @@ def test_oracle_imports_no_ladder_function():
 ])
 def test_dicke_scan_finds_each_form(source, expected):
     assert _names_from_dicke(ast.parse(source)) == expected
+
+
+# Imported only so that bench/tracing.py can wrap them as attributes of these
+# modules; the list shrinks as the tracer stops needing them.
+_TRACED_IMPORTS = {
+    ("oracle", "classify"), ("oracle", "correlation_terms"),
+    ("oracle", "entanglement_parameter"),
+    ("oracle", "spectroscopic_parameters"),
+    ("oracle", "squeezing_parameters"), ("cli", "pairwise_correlators"),
+}
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads, in source order.
+
+    A dotted `import a.b` binds and counts as "a"; __future__ features are
+    not names.
+    """
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            imported += [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_unused_imports():
+    # __init__ imports to re-export.
+    found = {(path.stem, name) for path in sorted(SOURCE.glob("*.py"))
+             if path.name != "__init__.py"
+             for name in _unused_imports(
+                 ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == _TRACED_IMPORTS
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import math\n", ["math"]),
+    ("import math\nx = math.pi\n", []),
+    ("import numpy as np\nimport os.path\n", ["np", "os"]),
+    ("from .frame import Frame, mean_spin\ndef f(x: Frame):\n    pass\n",
+     ["mean_spin"]),
+    ("from __future__ import annotations\n", []),
+    ("from a import b as c\nc()\n", []),
+    ("from a import b\nb = 1\n", ["b"]),
+])
+def test_unused_import_scan_finds_each_form(source, expected):
+    assert _unused_imports(ast.parse(source)) == expected
