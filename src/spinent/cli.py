@@ -22,7 +22,6 @@ from .dicke import CollectiveMoments, DickeState, PairCorrelators, \
 # Unused here, but bench/tracing.py wraps this name on this module.
 from .dicke import pairwise_correlators
 from .errors import SpinentError
-from .frame import DEFAULT_EPSILON
 from .io import CSV_HEADER, csv_row, dump_document, parse_state, \
     report_document, state_document
 from .metrics import Classification, DEFAULT_S_TOLERANCE, _METRIC_NAMES, \
@@ -71,8 +70,6 @@ def _build_parser() -> _Parser:
     p_analyze.add_argument("--s-tolerance", type=float,
                            default=DEFAULT_S_TOLERANCE,
                            help="classification threshold on S")
-    p_analyze.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                           help="mean-spin degeneracy threshold")
 
     p_make = sub.add_parser(
         "make-state", help="emit a state file on stdout")
@@ -132,8 +129,7 @@ def _cmd_analyze(args) -> int:
         with open(args.state_file, "r", encoding="utf-8") as handle:
             text = handle.read()
     state = parse_state(text)
-    analysis = analyze(state, epsilon=args.epsilon,
-                       s_tolerance=args.s_tolerance)
+    analysis = analyze(state, s_tolerance=args.s_tolerance)
     sys.stdout.write(dump_document(report_document(analysis)))
     if analysis.report.classification is Classification.DEGENERATE_FRAME:
         return 2

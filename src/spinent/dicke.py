@@ -58,6 +58,15 @@ def _atom_count(n_atoms) -> int:
     return int(n_atoms)
 
 
+def _pair_count(n_atoms) -> int:
+    """n_atoms as _atom_count takes it; InsufficientAtomsError below 2."""
+    n = _atom_count(n_atoms)
+    if n < 2:
+        raise InsufficientAtomsError(
+            f"pair quantities need at least 2 atoms, got {n}")
+    return n
+
+
 def _freeze_amplitudes(state, field: str, dimension: Callable[[int], int]):
     """Validate n_atoms and the amplitude vector, storing both read-only.
 
@@ -246,11 +255,8 @@ def pairwise_correlators(state: DickeState) -> PairCorrelators:
     no single-atom part at all (spin-1/2 components anticommute to zero), so
     <J_a J_b + J_b J_a> = 2 N(N-1) <J_1a J_2b>.
     """
-    n = state.n_atoms
-    if n < 2:
-        raise InsufficientAtomsError(
-            f"pair correlators need at least 2 atoms, got {n}")
-    return _correlators_from_moments(n, collective_moments(state))
+    return _correlators_from_moments(_pair_count(state.n_atoms),
+                                     collective_moments(state))
 
 
 def _correlators_from_moments(n: int, mom: CollectiveMoments

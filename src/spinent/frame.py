@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import CollectiveMoments
-from .errors import DegenerateMeanSpinError, SpinentError
+from .errors import DegenerateMeanSpinError
 
 # Degeneracy threshold for the mean-spin length and its transverse part.
 DEFAULT_EPSILON = 1e-12
@@ -57,24 +57,21 @@ def mean_spin(moments: CollectiveMoments) -> MeanSpin:
                     transverse=transverse)
 
 
-def build_frame(spin: MeanSpin, epsilon: float = DEFAULT_EPSILON) -> Frame:
+def build_frame(spin: MeanSpin) -> Frame:
     """Frame whose z' axis points along the mean spin.
 
     Raises DegenerateMeanSpinError when the mean spin is shorter than
-    epsilon; no frame (and no squeezing analysis) exists there.  When only
-    the transverse part vanishes the azimuth is conventionally set to 0 and
-    the frame is flagged degenerate_phi.  epsilon must be positive.
+    DEFAULT_EPSILON; no frame (and no squeezing analysis) exists there.
+    When only the transverse part vanishes the azimuth is conventionally set
+    to 0 and the frame is flagged degenerate_phi.
     """
-    # Negated so that a NaN epsilon is rejected too.
-    if not epsilon > 0.0:
-        raise SpinentError(f"epsilon must be positive, got {epsilon!r}")
-    if spin.magnitude < epsilon:
+    if spin.magnitude < DEFAULT_EPSILON:
         raise DegenerateMeanSpinError(
-            f"mean spin length {spin.magnitude:.3e} is below {epsilon:.3e}; "
-            "no aligned frame exists")
+            f"mean spin length {spin.magnitude:.3e} is below "
+            f"{DEFAULT_EPSILON:.3e}; no aligned frame exists")
     cos_theta = spin.jz / spin.magnitude
     sin_theta = spin.transverse / spin.magnitude
-    if spin.transverse < epsilon * max(1.0, spin.magnitude):
+    if spin.transverse < DEFAULT_EPSILON * max(1.0, spin.magnitude):
         return Frame(cos_theta=cos_theta, sin_theta=sin_theta,
                      cos_phi=1.0, sin_phi=0.0, degenerate_phi=True)
     return Frame(cos_theta=cos_theta, sin_theta=sin_theta,

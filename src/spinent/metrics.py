@@ -29,9 +29,8 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 from .dicke import DickeState, CollectiveMoments, _atom_count, \
-    collective_moments, pairwise_correlators
-from .errors import DegenerateMeanSpinError, InsufficientAtomsError, \
-    SpinentError
+    _pair_count, collective_moments, pairwise_correlators
+from .errors import DegenerateMeanSpinError, SpinentError
 from .frame import DEFAULT_EPSILON, Frame, MeanSpin, _transverse_axes, \
     build_frame, mean_spin
 
@@ -113,10 +112,7 @@ def transverse_variances(moments: CollectiveMoments,
 def correlation_terms(var_xp: float, var_yp: float,
                       n_atoms: int) -> tuple[float, float]:
     """corr_x and corr_y: transverse variances minus the product value N/4."""
-    if n_atoms < 2:
-        raise InsufficientAtomsError(
-            f"correlation terms need at least 2 atoms, got {n_atoms}")
-    quarter = n_atoms / 4.0
+    quarter = _pair_count(n_atoms) / 4.0
     return var_xp - quarter, var_yp - quarter
 
 
@@ -151,9 +147,7 @@ def s_from_variances(var_xp: float, var_yp: float, n_atoms: int) -> float:
     Expanded form of entanglement_parameter(corr_x, corr_y); the constant
     N**2/8 completes the two squares.
     """
-    if n_atoms < 2:
-        raise InsufficientAtomsError(
-            f"the entanglement parameter needs at least 2 atoms, got {n_atoms}")
+    n_atoms = _pair_count(n_atoms)
     half_n = n_atoms / 2.0
     return 0.5 * (var_xp * (var_xp - half_n)
                   + var_yp * (var_yp - half_n)
@@ -183,18 +177,17 @@ def s_from_q(q_x: float, q_y: float, n_atoms: int) -> float:
 
 
 def spectroscopic_parameters(q_x: float, q_y: float, magnitude: float,
-                             n_atoms: int,
-                             epsilon: float = DEFAULT_EPSILON
-                             ) -> tuple[float, float]:
+                             n_atoms: int) -> tuple[float, float]:
     """Ramsey phase-sensitivity parameters xi_R = (j/|<J>|) Q per axis.
 
-    Undefined (raises) when the mean-spin length is below epsilon; the
-    spectroscopic gain diverges there and no finite value is meaningful.
+    Undefined (raises) when the mean-spin length is below DEFAULT_EPSILON,
+    the frame's threshold; the spectroscopic gain diverges there and no
+    finite value is meaningful.
     """
-    if magnitude < epsilon:
+    if magnitude < DEFAULT_EPSILON:
         raise DegenerateMeanSpinError(
-            f"mean spin length {magnitude:.3e} is below {epsilon:.3e}; "
-            "spectroscopic parameters are undefined")
+            f"mean spin length {magnitude:.3e} is below "
+            f"{DEFAULT_EPSILON:.3e}; spectroscopic parameters are undefined")
     j = n_atoms / 2.0
     scale = j / magnitude
     return scale * q_x, scale * q_y
@@ -203,7 +196,7 @@ def spectroscopic_parameters(q_x: float, q_y: float, magnitude: float,
 def s_from_xi(xi_rx: float, xi_ry: float, magnitude: float,
               n_atoms: int) -> float:
     """S recovered from the spectroscopic parameters and mean-spin length."""
-    j = n_atoms / 2.0
+    j = _pair_count(n_atoms) / 2.0
     m2 = magnitude * magnitude
     return s_from_variances(xi_rx * xi_rx * m2 / (2.0 * j),
                             xi_ry * xi_ry * m2 / (2.0 * j), n_atoms)
@@ -217,7 +210,8 @@ def classify(s_param: float | None, n_atoms: int,
     raised to the rounding floor of S at N atoms.  s_param None means a
     degenerate frame, the one case in which a report's metrics are None.
     A negative or NaN s_tolerance raises for any state, checked first, and
-    so does an n_atoms that is not a positive integer.
+    so does an n_atoms that is not a positive integer; then so does an
+    s_param that no analysis can produce, negative, infinite or NaN.
     """
     # Negated so that a NaN tolerance is rejected too.
     if not s_tolerance >= 0.0:
@@ -226,6 +220,10 @@ def classify(s_param: float | None, n_atoms: int,
     n_atoms = _atom_count(n_atoms)
     if s_param is None:
         return Classification.DEGENERATE_FRAME
+    # Negated so that a NaN S is rejected too.
+    if not 0.0 <= s_param < math.inf:
+        raise SpinentError(
+            f"s_param must be finite and non-negative, got {s_param!r}")
     floor = _S_FLOOR_FACTOR * (math.ulp(1.0) * n_atoms * n_atoms) ** 2
     if s_param <= max(s_tolerance, floor):
         return Classification.UNENTANGLED
@@ -233,8 +231,7 @@ def classify(s_param: float | None, n_atoms: int,
 
 
 def _assemble_report(n_atoms: int, variances: tuple[float, float] | None,
-                     magnitude: float, epsilon: float,
-                     s_tolerance: float) -> MetricsReport:
+                     magnitude: float, s_tolerance: float) -> MetricsReport:
     """Report from the transverse variances (None: degenerate frame).
 
     analyze and the 2**N oracle share it, and nothing before the variances.
@@ -247,8 +244,7 @@ def _assemble_report(n_atoms: int, variances: tuple[float, float] | None,
         corr_x, corr_y = correlation_terms(var_xp, var_yp, n_atoms)
         s_param = entanglement_parameter(corr_x, corr_y)
         q_x, q_y = squeezing_parameters(var_xp, var_yp, n_atoms)
-        xi_rx, xi_ry = spectroscopic_parameters(q_x, q_y, magnitude, n_atoms,
-                                                epsilon)
+        xi_rx, xi_ry = spectroscopic_parameters(q_x, q_y, magnitude, n_atoms)
         # In MetricsReport field order.
         values = (var_xp, var_yp, corr_x, corr_y, s_param, q_x, q_y, xi_rx,
                   xi_ry)
@@ -256,25 +252,24 @@ def _assemble_report(n_atoms: int, variances: tuple[float, float] | None,
                          classify(s_param, n_atoms, s_tolerance))
 
 
-def analyze(state: DickeState, epsilon: float = DEFAULT_EPSILON,
+def analyze(state: DickeState,
             s_tolerance: float = DEFAULT_S_TOLERANCE) -> StateAnalysis:
     """Full pipeline: moments, frame, variances, corr, S, Q, xi, class.
 
-    States whose mean spin is degenerate get a report with every float field
-    None and classification DEGENERATE_FRAME instead of an exception.
+    States whose mean spin is shorter than DEFAULT_EPSILON get a report with
+    every float field None and classification DEGENERATE_FRAME instead of an
+    exception.
     """
-    if state.n_atoms < 2:
-        raise InsufficientAtomsError(
-            f"analysis needs at least 2 atoms, got {state.n_atoms}")
+    _pair_count(state.n_atoms)
     moments = collective_moments(state)
     spin = mean_spin(moments)
     try:
-        frame = build_frame(spin, epsilon)
+        frame = build_frame(spin)
     except DegenerateMeanSpinError:
         frame = variances = None
     else:
         variances = transverse_variances(moments, frame)
     report = _assemble_report(state.n_atoms, variances, spin.magnitude,
-                              epsilon, s_tolerance)
+                              s_tolerance)
     return StateAnalysis(moments=moments, mean_spin=spin, frame=frame,
                          report=report)

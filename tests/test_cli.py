@@ -17,7 +17,7 @@ import pytest
 import spinent.cli
 import spinent.dicke
 import spinent.metrics
-from spinent import DEFAULT_EPSILON, DEFAULT_S_TOLERANCE, CoherentSpec, \
+from spinent import DEFAULT_S_TOLERANCE, CoherentSpec, \
     analyze, coherent_state, custom_state, pairwise_correlators, \
     random_state, twisted_state
 from spinent.cli import _build_parser, main
@@ -317,12 +317,13 @@ class TestAnalyze:
         assert err.startswith("spinent: error:")
         assert "renormalize" in err
 
-    @pytest.mark.parametrize("epsilon", ["-1", "nan", "0"])
-    def test_non_positive_epsilon_exit_1(self, epsilon, tmp_path, capsys):
-        # The m=0 state has zero mean spin; a bad epsilon used to divide by it.
-        path = self.make_file(tmp_path, [0.0, 0.0, 1.0, 0.0, 0.0], n=4)
-        assert_input_error(*run(["analyze", path, f"--epsilon={epsilon}"],
-                                capsys))
+    def test_epsilon_is_not_an_option(self, tmp_path, capsys):
+        # The frame threshold is the fixed DEFAULT_EPSILON.
+        path = self.make_file(tmp_path, [1.0, 0.0, 0.0, 0.0, 0.0], n=4)
+        code, out, err = run(["analyze", path, "--epsilon=1e-12"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("tolerance", ["-1", "nan"])
     def test_bad_s_tolerance_exit_1(self, tolerance, tmp_path, capsys):
@@ -600,7 +601,7 @@ class TestOracleCheck:
                 result, frame=None, per_atom_var_xp=None,
                 per_atom_var_yp=None, report=_assemble_report(
                     full.n_atoms, None, result.mean_spin.magnitude,
-                    DEFAULT_EPSILON, DEFAULT_S_TOLERANCE))
+                    DEFAULT_S_TOLERANCE))
 
         monkeypatch.setattr(spinent.cli, "oracle_metrics", degenerate_first)
         code, out, _ = run(["oracle-check", "--n", "3", "--trials", "2"],

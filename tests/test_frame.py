@@ -8,9 +8,10 @@ from numpy.testing import assert_allclose
 
 from spinent import (
     CoherentSpec,
+    DEFAULT_EPSILON,
     DegenerateMeanSpinError,
     DickeState,
-    SpinentError,
+    MeanSpin,
     build_frame,
     coherent_state,
     collective_moments,
@@ -80,12 +81,17 @@ def test_degenerate_mean_spin_raises():
         build_frame(spin)
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
-def test_non_positive_epsilon_rejected(epsilon):
-    # Checked before the mean-spin length, which it would otherwise divide by.
-    spin = mean_spin(collective_moments(dicke_state(4, 0.0)))
-    with pytest.raises(SpinentError, match="epsilon"):
-        build_frame(spin, epsilon)
+def test_threshold_is_the_one_constant():
+    # A mean spin along z exactly DEFAULT_EPSILON long has a frame; one
+    # ulp shorter has none.
+    def along_z(length):
+        return MeanSpin(jx=0.0, jy=0.0, jz=length, magnitude=length,
+                        transverse=0.0)
+
+    assert DEFAULT_EPSILON == 1e-12
+    assert build_frame(along_z(DEFAULT_EPSILON)).degenerate_phi
+    with pytest.raises(DegenerateMeanSpinError):
+        build_frame(along_z(math.nextafter(DEFAULT_EPSILON, 0.0)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])

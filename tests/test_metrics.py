@@ -15,6 +15,7 @@ from spinent import (
     DickeState,
     Frame,
     InsufficientAtomsError,
+    LengthMismatchError,
     SpinentError,
     analyze,
     build_frame,
@@ -127,6 +128,20 @@ class TestCorrelationTerms:
     def test_needs_two_atoms(self):
         with pytest.raises(InsufficientAtomsError):
             correlation_terms(0.25, 0.25, 1)
+
+    @pytest.mark.parametrize("route", [
+        lambda n: correlation_terms(0.5, 0.5, n),
+        lambda n: s_from_variances(0.5, 0.5, n),
+        lambda n: s_from_q(1.0, 1.0, n),
+        lambda n: s_from_xi(1.0, 1.0, 0.5, n)],
+        ids=["correlation_terms", "s_from_variances", "s_from_q",
+             "s_from_xi"])
+    @pytest.mark.parametrize("n_atoms", [0, -2, 2.5, 4.0, math.nan, True])
+    def test_atom_count_not_a_positive_integer(self, route, n_atoms):
+        # One two-atom rule on every route: a count that is not a positive
+        # integer is refused before any arithmetic on it.
+        with pytest.raises(LengthMismatchError, match="n_atoms"):
+            route(n_atoms)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
     def test_pairwise_route_matches_collective_route(self, n):
@@ -260,17 +275,24 @@ class TestClassify:
     @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
     def test_bad_tolerance_rejected_first(self, tolerance):
         # Before n_atoms, and whether or not the frame is degenerate.
-        for s_param in (0.0, None):
+        for s_param in (0.0, None, math.nan):
             for n_atoms in (2, True, 0):
                 with pytest.raises(SpinentError, match="s_tolerance"):
                     classify(s_param, n_atoms, s_tolerance=tolerance)
+
+    @pytest.mark.parametrize("s_param", [
+        math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_impossible_s_rejected(self, s_param):
+        # No analysis gives these, so none is read as a class.
+        with pytest.raises(SpinentError, match="s_param"):
+            classify(s_param, 2)
 
     def test_zero_tolerance_allowed(self):
         assert classify(0.0, 2, s_tolerance=0.0) \
             is Classification.UNENTANGLED
 
     @pytest.mark.parametrize("n_atoms", [True, False, 0, -3, 2.0, None])
-    @pytest.mark.parametrize("s_param", [0.0, None])
+    @pytest.mark.parametrize("s_param", [0.0, None, math.nan])
     def test_bad_atom_count_rejected(self, s_param, n_atoms):
         # classify(s, True), the old degenerate-frame flag, is not N = 1.
         with pytest.raises(SpinentError, match="n_atoms"):

@@ -1,13 +1,17 @@
 """Properties of the package source itself."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import spinent
+from spinent.cli import _build_parser
 
 SOURCE = Path(spinent.__file__).parent
+README = SOURCE.parent.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -321,3 +325,36 @@ def test_no_unused_imports():
 ])
 def test_unused_import_scan_finds_each_form(source, expected):
     assert _unused_imports(ast.parse(source)) == expected
+
+
+# Every value a caller can set on a public function.  Each one is a value
+# that tests and oracle-check must cover, so a new setting goes on this list
+# on purpose, never by a default argument slipping in.
+_SETTINGS = {("analyze", "s_tolerance"), ("classify", "s_tolerance"),
+             ("dicke_to_full", "cap"), ("custom_state", "renormalize")}
+
+
+def test_settings_census():
+    found = {(name, parameter.name) for name in spinent.__all__
+             if inspect.isfunction(getattr(spinent, name))
+             for parameter in inspect.signature(
+                 getattr(spinent, name)).parameters.values()
+             if parameter.default is not parameter.empty}
+    assert found == _SETTINGS
+
+
+def test_analyze_command_census():
+    # The command's one option is the library's one analyze setting.
+    commands = next(action for action in _build_parser()._actions
+                    if action.dest == "command")
+    options = [option for action in commands.choices["analyze"]._actions
+               for option in action.option_strings]
+    assert sorted(options) == ["--help", "--s-tolerance", "-h"]
+
+
+def test_readme_names_every_exported_callable():
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in spinent.__all__
+               if callable(getattr(spinent, name))
+               and not re.search(rf"`{name}[`(]", text)]
+    assert missing == []
