@@ -24,8 +24,7 @@ from .dicke import pairwise_correlators
 from .errors import SpinentError
 from .io import CSV_HEADER, csv_row, dump_document, parse_state, \
     report_document, state_document
-from .metrics import Classification, DEFAULT_S_TOLERANCE, _METRIC_NAMES, \
-    analyze
+from .metrics import Classification, _METRIC_NAMES, analyze
 from .oracle import DEFAULT_DIMENSION_CAP, _check_cap, dicke_to_full, \
     oracle_metrics
 from .states import CoherentSpec, coherent_state, custom_state, dicke_state, \
@@ -67,9 +66,6 @@ def _build_parser() -> _Parser:
         "analyze", help="analyze a state file, report JSON on stdout")
     p_analyze.add_argument("state_file",
                            help="path to a state file, or - for stdin")
-    p_analyze.add_argument("--s-tolerance", type=float,
-                           default=DEFAULT_S_TOLERANCE,
-                           help="classification threshold on S")
 
     p_make = sub.add_parser(
         "make-state", help="emit a state file on stdout")
@@ -123,13 +119,15 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_analyze(args) -> int:
-    if args.state_file == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.state_file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    state = parse_state(text)
-    analysis = analyze(state, s_tolerance=args.s_tolerance)
+    try:
+        if args.state_file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.state_file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError:
+        raise SpinentError("state file is not UTF-8 text") from None
+    analysis = analyze(parse_state(text))
     sys.stdout.write(dump_document(report_document(analysis)))
     if analysis.report.classification is Classification.DEGENERATE_FRAME:
         return 2

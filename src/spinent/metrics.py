@@ -18,8 +18,8 @@ the mean spin can change it.  S is exposed
 through four algebraically identical routes (from corr, from the variances,
 from the squeezing parameters Q, and from the spectroscopic parameters xi)
 plus an independent pairwise-correlator evaluation used for cross-checks.
-classify holds the whole threshold rule on S, rounding floor included;
-analyze and the 2**N oracle classify through it.
+classify holds the whole threshold rule on S, a fixed 1e-10 cut raised to
+a rounding floor; analyze and the 2**N oracle classify through it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import DegenerateMeanSpinError, SpinentError
 from .frame import DEFAULT_EPSILON, Frame, MeanSpin, _transverse_axes, \
     build_frame, mean_spin
 
-# Classification threshold on S; values at or below count as unentangled.
+# Fixed classification cut on S; values at or below count as unentangled.
 DEFAULT_S_TOLERANCE = 1e-10
 
 # Rounding gives product states S up to ~0.6 (eps N**2)**2; S is classified
@@ -159,15 +159,16 @@ def squeezing_parameters(var_xp: float, var_yp: float,
     """Q_x = sqrt(2/j) * dJ_x' and Q_y likewise, with j = N/2.
 
     A coherent (product) state gives exactly (1, 1); Q < 1 along one axis is
-    squeezing.  A negative variance or N = 0 raises SpinentError.
+    squeezing.  A negative or NaN variance raises SpinentError, and an
+    n_atoms that is not a positive integer LengthMismatchError.
     """
-    j = n_atoms / 2.0
-    try:
-        return math.sqrt(2.0 * var_xp / j), math.sqrt(2.0 * var_yp / j)
-    except (ValueError, ZeroDivisionError):
+    j = _atom_count(n_atoms) / 2.0
+    # Negated so that a NaN variance is rejected too.
+    if not (var_xp >= 0.0 and var_yp >= 0.0):
         raise SpinentError(
             f"squeezing parameters are undefined for var_xp={var_xp!r}, "
-            f"var_yp={var_yp!r}, n_atoms={n_atoms!r}") from None
+            f"var_yp={var_yp!r}")
+    return math.sqrt(2.0 * var_xp / j), math.sqrt(2.0 * var_yp / j)
 
 
 def s_from_q(q_x: float, q_y: float, n_atoms: int) -> float:
@@ -181,14 +182,16 @@ def spectroscopic_parameters(q_x: float, q_y: float, magnitude: float,
     """Ramsey phase-sensitivity parameters xi_R = (j/|<J>|) Q per axis.
 
     Undefined (raises) when the mean-spin length is below DEFAULT_EPSILON,
-    the frame's threshold; the spectroscopic gain diverges there and no
-    finite value is meaningful.
+    the frame's threshold, or NaN; the spectroscopic gain diverges there and
+    no finite value is meaningful.  An n_atoms that is not a positive
+    integer raises LengthMismatchError.
     """
-    if magnitude < DEFAULT_EPSILON:
+    j = _atom_count(n_atoms) / 2.0
+    # Negated so that a NaN length is rejected too.
+    if not magnitude >= DEFAULT_EPSILON:
         raise DegenerateMeanSpinError(
             f"mean spin length {magnitude:.3e} is below "
             f"{DEFAULT_EPSILON:.3e}; spectroscopic parameters are undefined")
-    j = n_atoms / 2.0
     scale = j / magnitude
     return scale * q_x, scale * q_y
 
@@ -202,21 +205,16 @@ def s_from_xi(xi_rx: float, xi_ry: float, magnitude: float,
                             xi_ry * xi_ry * m2 / (2.0 * j), n_atoms)
 
 
-def classify(s_param: float | None, n_atoms: int,
-             s_tolerance: float = DEFAULT_S_TOLERANCE) -> Classification:
+def classify(s_param: float | None, n_atoms: int) -> Classification:
     """The whole S rule: entangled when S exceeds the threshold.
 
-    The threshold is max(s_tolerance, 10*(ulp(1)*N**2)**2), s_tolerance
-    raised to the rounding floor of S at N atoms.  s_param None means a
-    degenerate frame, the one case in which a report's metrics are None.
-    A negative or NaN s_tolerance raises for any state, checked first, and
-    so does an n_atoms that is not a positive integer; then so does an
-    s_param that no analysis can produce, negative, infinite or NaN.
+    The threshold is max(DEFAULT_S_TOLERANCE, 10*(ulp(1)*N**2)**2), the
+    fixed 1e-10 cut raised to the rounding floor of S at N atoms.  s_param
+    None means a degenerate frame, the one case in which a report's metrics
+    are None.  An n_atoms that is not a positive integer raises, checked
+    first; then so does an s_param that no analysis can produce, negative,
+    infinite or NaN.
     """
-    # Negated so that a NaN tolerance is rejected too.
-    if not s_tolerance >= 0.0:
-        raise SpinentError(
-            f"s_tolerance must be non-negative, got {s_tolerance!r}")
     n_atoms = _atom_count(n_atoms)
     if s_param is None:
         return Classification.DEGENERATE_FRAME
@@ -225,13 +223,13 @@ def classify(s_param: float | None, n_atoms: int,
         raise SpinentError(
             f"s_param must be finite and non-negative, got {s_param!r}")
     floor = _S_FLOOR_FACTOR * (math.ulp(1.0) * n_atoms * n_atoms) ** 2
-    if s_param <= max(s_tolerance, floor):
+    if s_param <= max(DEFAULT_S_TOLERANCE, floor):
         return Classification.UNENTANGLED
     return Classification.ENTANGLED
 
 
 def _assemble_report(n_atoms: int, variances: tuple[float, float] | None,
-                     magnitude: float, s_tolerance: float) -> MetricsReport:
+                     magnitude: float) -> MetricsReport:
     """Report from the transverse variances (None: degenerate frame).
 
     analyze and the 2**N oracle share it, and nothing before the variances.
@@ -248,12 +246,10 @@ def _assemble_report(n_atoms: int, variances: tuple[float, float] | None,
         # In MetricsReport field order.
         values = (var_xp, var_yp, corr_x, corr_y, s_param, q_x, q_y, xi_rx,
                   xi_ry)
-    return MetricsReport(n_atoms, *values,
-                         classify(s_param, n_atoms, s_tolerance))
+    return MetricsReport(n_atoms, *values, classify(s_param, n_atoms))
 
 
-def analyze(state: DickeState,
-            s_tolerance: float = DEFAULT_S_TOLERANCE) -> StateAnalysis:
+def analyze(state: DickeState) -> StateAnalysis:
     """Full pipeline: moments, frame, variances, corr, S, Q, xi, class.
 
     States whose mean spin is shorter than DEFAULT_EPSILON get a report with
@@ -269,7 +265,6 @@ def analyze(state: DickeState,
         frame = variances = None
     else:
         variances = transverse_variances(moments, frame)
-    report = _assemble_report(state.n_atoms, variances, spin.magnitude,
-                              s_tolerance)
+    report = _assemble_report(state.n_atoms, variances, spin.magnitude)
     return StateAnalysis(moments=moments, mean_spin=spin, frame=frame,
                          report=report)

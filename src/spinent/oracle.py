@@ -45,7 +45,7 @@ from .errors import DegenerateMeanSpinError, DimensionCapError, \
     InsufficientAtomsError, NotSymmetricError, SpinentError, \
     WrongAtomCountError
 from .frame import _transverse_axes, build_frame, mean_spin
-from .metrics import DEFAULT_S_TOLERANCE, StateAnalysis, _assemble_report
+from .metrics import StateAnalysis, _assemble_report
 # Unused here, but bench/tracing.py wraps these names on this module.
 from .metrics import classify, correlation_terms, entanglement_parameter, \
     spectroscopic_parameters, squeezing_parameters
@@ -217,8 +217,7 @@ def oracle_metrics(state: FullState) -> OracleReport:
     never from the nine-moment expansion.  Per-atom variances are traces
     against each atom's 2x2 reduced density matrix, and pair correlators
     traces against the 4x4 one of atoms 0 and 1.  All are divided by the
-    squared norm, taken as the trace of that 4x4 matrix.  The report uses
-    DEFAULT_S_TOLERANCE.
+    squared norm, taken as the trace of that 4x4 matrix.
     """
     n = state.n_atoms
     if n < 2:
@@ -325,8 +324,7 @@ def oracle_metrics(state: FullState) -> OracleReport:
         variances = tuple(square / norm2 - (mean / norm2) ** 2
                           for square, mean in zip(squares, means.tolist()))
 
-    report = _assemble_report(n, variances, spin.magnitude,
-                              DEFAULT_S_TOLERANCE)
+    report = _assemble_report(n, variances, spin.magnitude)
     return OracleReport(moments=moments, mean_spin=spin, frame=frame,
                         correlators=correlators,
                         per_atom_var_xp=per_atom_xp,

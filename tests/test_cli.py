@@ -17,9 +17,8 @@ import pytest
 import spinent.cli
 import spinent.dicke
 import spinent.metrics
-from spinent import DEFAULT_S_TOLERANCE, CoherentSpec, \
-    analyze, coherent_state, custom_state, pairwise_correlators, \
-    random_state, twisted_state
+from spinent import CoherentSpec, analyze, coherent_state, custom_state, \
+    pairwise_correlators, random_state, twisted_state
 from spinent.cli import _build_parser, main
 from spinent.dicke import _correlators_from_moments
 from spinent.metrics import _assemble_report
@@ -146,6 +145,12 @@ class TestMakeState:
           "--steps", "3"], "--start and --stop must be finite"),
         (["make-state", "custom", "--n", "1", "--coeffs", "1", "-info"],
          "cannot parse coefficient '-info'"),
+        (["make-state", "coherent", "--n", "2", "--theta", "-1"],
+         "theta must lie in"),
+        (["make-state", "coherent", "--n", "2", "--theta", "-1e-3"],
+         "theta must lie in"),
+        (["make-state", "coherent", "--n", "2", "--theta", "-.5E+1"],
+         "theta must lie in"),
     ])
     def test_negative_non_finite_token_is_a_value(self, argv, message,
                                                   capsys):
@@ -153,6 +158,7 @@ class TestMakeState:
         code, out, err = run(argv, capsys)
         assert_input_error(code, out, err)
         assert message in err
+
     def test_missing_flag_exits_1(self, capsys):
         code, _, err = run(["make-state", "twist", "--n", "4",
                             "--theta", "1.0"], capsys)
@@ -279,14 +285,6 @@ class TestAnalyze:
         assert doc["frame"] is None
         assert doc["metrics"]["s_param"] is None
 
-    def test_s_tolerance_flag(self, tmp_path, capsys):
-        # A loose threshold reclassifies a mildly entangled state.
-        path = self.make_file(tmp_path, [SQRT3 / 2, 0.0, 0.5])
-        code, out, _ = run(["analyze", path, "--s-tolerance", "0.5"],
-                           capsys)
-        assert code == 0
-        assert json.loads(out)["classification"] == "unentangled"
-
     def test_renormalize_flag_honored(self, tmp_path, capsys):
         path = tmp_path / "loose.json"
         path.write_text(dump_document({
@@ -325,21 +323,28 @@ class TestAnalyze:
         assert out == ""
         assert "unrecognized arguments" in err
 
-    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
-    def test_bad_s_tolerance_exit_1(self, tolerance, tmp_path, capsys):
-        # A coherent (product) state used to come out entangled under these.
+    def test_s_tolerance_is_not_an_option(self, tmp_path, capsys):
+        # The S cut is the fixed DEFAULT_S_TOLERANCE.
         path = self.make_file(tmp_path, [1.0, 0.0, 0.0, 0.0, 0.0], n=4)
-        assert_input_error(*run(["analyze", path,
-                                 f"--s-tolerance={tolerance}"], capsys))
-
-    @pytest.mark.parametrize("tolerance", ["-1", "-1e-3", "-.5E+1"])
-    def test_negative_s_tolerance_token(self, tolerance, tmp_path, capsys):
-        # A separate negative token reaches the library's own check.
-        path = self.make_file(tmp_path, [1.0, 0.0, 0.0, 0.0, 0.0], n=4)
-        code, out, err = run(["analyze", path, "--s-tolerance", tolerance],
+        code, out, err = run(["analyze", path, "--s-tolerance=1e-10"],
                              capsys)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_non_utf8_file_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(["analyze", str(path)], capsys)
         assert_input_error(code, out, err)
-        assert "must be non-negative" in err
+        assert "not UTF-8 text" in err
+
+    def test_non_utf8_stdin_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(b"\xff{"), encoding="utf-8"))
+        code, out, err = run(["analyze", "-"], capsys)
+        assert_input_error(code, out, err)
+        assert "not UTF-8 text" in err
 
     def test_single_atom_exit_1(self, tmp_path, capsys):
         path = self.make_file(tmp_path, [1.0, 0.0], n=1)
@@ -600,8 +605,7 @@ class TestOracleCheck:
             return dataclasses.replace(
                 result, frame=None, per_atom_var_xp=None,
                 per_atom_var_yp=None, report=_assemble_report(
-                    full.n_atoms, None, result.mean_spin.magnitude,
-                    DEFAULT_S_TOLERANCE))
+                    full.n_atoms, None, result.mean_spin.magnitude))
 
         monkeypatch.setattr(spinent.cli, "oracle_metrics", degenerate_first)
         code, out, _ = run(["oracle-check", "--n", "3", "--trials", "2"],

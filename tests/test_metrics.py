@@ -206,10 +206,16 @@ class TestSqueezingParameters:
         assert_allclose(q_y, math.sqrt(1.0 - SQRT3 / 2), atol=1e-15)
 
     @pytest.mark.parametrize("var_xp, var_yp, n", [
-        (-1.0, 1.0, 4), (1.0, -1e-300, 4), (1.0, 1.0, 0)])
+        (-1.0, 1.0, 4), (1.0, -1e-300, 4), (math.nan, 1.0, 4),
+        (1.0, math.nan, 4)])
     def test_undefined_input_is_a_spinent_error(self, var_xp, var_yp, n):
         with pytest.raises(SpinentError, match="squeezing parameters"):
             squeezing_parameters(var_xp, var_yp, n)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, math.nan])
+    def test_bad_atom_count_rejected(self, n):
+        with pytest.raises(LengthMismatchError, match="n_atoms"):
+            squeezing_parameters(1.0, 1.0, n)
 
     def test_dicke_three_atoms(self):
         q_x, q_y = squeezing_parameters(1.75, 1.75, 3)
@@ -243,6 +249,15 @@ class TestSpectroscopicParameters:
         with pytest.raises(DegenerateMeanSpinError):
             spectroscopic_parameters(1.0, 1.0, 0.0, 4)
 
+    def test_nan_mean_spin_length_rejected(self):
+        with pytest.raises(DegenerateMeanSpinError):
+            spectroscopic_parameters(1.0, 1.0, math.nan, 4)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, math.nan])
+    def test_bad_atom_count_rejected(self, n):
+        with pytest.raises(LengthMismatchError, match="n_atoms"):
+            spectroscopic_parameters(1.0, 1.0, 0.5, n)
+
     @pytest.mark.parametrize("n", [2, 6, 10])
     def test_s_from_xi_identity(self, n):
         rng = np.random.default_rng(900 + n)
@@ -268,28 +283,12 @@ class TestClassify:
         for n_atoms in (2, 10**6):
             assert classify(None, n_atoms) is Classification.DEGENERATE_FRAME
 
-    def test_custom_tolerance(self):
-        assert classify(0.5, 2, s_tolerance=1.0) \
-            is Classification.UNENTANGLED
-
-    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
-    def test_bad_tolerance_rejected_first(self, tolerance):
-        # Before n_atoms, and whether or not the frame is degenerate.
-        for s_param in (0.0, None, math.nan):
-            for n_atoms in (2, True, 0):
-                with pytest.raises(SpinentError, match="s_tolerance"):
-                    classify(s_param, n_atoms, s_tolerance=tolerance)
-
     @pytest.mark.parametrize("s_param", [
         math.nan, math.inf, -math.inf, -1.0, -5e-324])
     def test_impossible_s_rejected(self, s_param):
         # No analysis gives these, so none is read as a class.
         with pytest.raises(SpinentError, match="s_param"):
             classify(s_param, 2)
-
-    def test_zero_tolerance_allowed(self):
-        assert classify(0.0, 2, s_tolerance=0.0) \
-            is Classification.UNENTANGLED
 
     @pytest.mark.parametrize("n_atoms", [True, False, 0, -3, 2.0, None])
     @pytest.mark.parametrize("s_param", [0.0, None, math.nan])
@@ -299,13 +298,15 @@ class TestClassify:
             classify(s_param, n_atoms)
 
     def test_floor_grows_with_n(self):
-        # 10 (ulp(1) N**2)**2 is 4.9e-19 at N = 1000 and 4.9e-7 at 10**6.
+        # 10 (ulp(1) N**2)**2 is 4.9e-19 at N = 1000, 4.9e-11 at 10**5,
+        # 7.9e-10 at 2*10**5 and 4.9e-7 at 10**6: it overtakes the fixed
+        # 1e-10 cut between 10**5 and 2*10**5.
         assert classify(1e-9, 1000) is Classification.ENTANGLED
+        assert classify(9e-11, 10**5) is Classification.UNENTANGLED
+        assert classify(2e-10, 10**5) is Classification.ENTANGLED
+        assert classify(5e-10, 2 * 10**5) is Classification.UNENTANGLED
+        assert classify(1e-9, 2 * 10**5) is Classification.ENTANGLED
         assert classify(1e-9, 10**6) is Classification.UNENTANGLED
-        assert classify(1e-18, 1000, s_tolerance=0.0) \
-            is Classification.ENTANGLED
-        assert classify(1e-19, 1000, s_tolerance=0.0) \
-            is Classification.UNENTANGLED
 
 
 class TestAnalyzePipeline:
@@ -334,13 +335,6 @@ class TestAnalyzePipeline:
     def test_single_atom_rejected(self):
         with pytest.raises(InsufficientAtomsError):
             analyze(DickeState(1, [1.0, 0.0]))
-
-    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
-    @pytest.mark.parametrize("m", [0.0, 1.0])
-    def test_bad_s_tolerance_rejected_on_every_frame(self, m, tolerance):
-        # m=0 has a degenerate frame; classify still decides it.
-        with pytest.raises(SpinentError, match="s_tolerance"):
-            analyze(dicke_state(4, m), s_tolerance=tolerance)
 
     def test_worked_state_end_to_end(self):
         r = analyze(WORKED).report
@@ -404,15 +398,11 @@ class TestLargeN:
         assert r.s_param > 1e-3
 
     def test_floor_leaves_small_n_tolerance_alone(self):
-        # At N = 1000 the floor is 4.9e-19: a tolerance of zero still
-        # resolves this twist's S ~ 1.8e-12, and the default 1e-10 decides.
+        # At N = 1000 the floor is 4.9e-19, so the fixed 1e-10 cut decides
+        # this twist's S ~ 1.8e-12.
         state = twisted_state(CoherentSpec(1000, 1.2, 0.3), 1e-7)
         s = analyze(state).report.s_param
         assert 1e-13 < s < 1e-10
-        assert analyze(state, s_tolerance=0.0).report.classification \
-            is Classification.ENTANGLED
-        assert classify(s, 1000, s_tolerance=0.0) \
-            is Classification.ENTANGLED
         assert analyze(state).report.classification \
             is Classification.UNENTANGLED
 
@@ -425,12 +415,6 @@ class TestLargeN:
             r = analyze(state).report
             assert r.var_xp >= 0.0 and r.var_yp >= 0.0
             assert r.classification is Classification.ENTANGLED
-
-    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
-    def test_floor_does_not_hide_invalid_tolerance(self, tolerance):
-        state = coherent_state(CoherentSpec(10**6, 1.0))
-        with pytest.raises(SpinentError, match="s_tolerance"):
-            analyze(state, s_tolerance=tolerance)
 
 
 class TestPhysicalProperties:

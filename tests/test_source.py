@@ -192,11 +192,11 @@ def test_oracle_has_one_residue_rule():
 
 
 def test_classify_alone_reads_the_s_floor():
-    # The threshold on S, rounding floor included, has one home, so a
+    # The threshold on S, fixed cut and rounding floor, has one home, so a
     # report and a hand call of classify cannot disagree.
     readers = {path.stem: _functions_reading(
                    ast.parse(path.read_text(encoding="utf-8")),
-                   {"_S_FLOOR_FACTOR"})
+                   {"_S_FLOOR_FACTOR", "DEFAULT_S_TOLERANCE"})
                for path in sorted(SOURCE.glob("*.py"))}
     assert {stem: found for stem, found in readers.items() if found} == \
         {"metrics": {"classify"}}
@@ -330,8 +330,7 @@ def test_unused_import_scan_finds_each_form(source, expected):
 # Every value a caller can set on a public function.  Each one is a value
 # that tests and oracle-check must cover, so a new setting goes on this list
 # on purpose, never by a default argument slipping in.
-_SETTINGS = {("analyze", "s_tolerance"), ("classify", "s_tolerance"),
-             ("dicke_to_full", "cap"), ("custom_state", "renormalize")}
+_SETTINGS = {("dicke_to_full", "cap"), ("custom_state", "renormalize")}
 
 
 def test_settings_census():
@@ -344,12 +343,12 @@ def test_settings_census():
 
 
 def test_analyze_command_census():
-    # The command's one option is the library's one analyze setting.
+    # analyze takes only a state, and so does the command.
     commands = next(action for action in _build_parser()._actions
                     if action.dest == "command")
     options = [option for action in commands.choices["analyze"]._actions
                for option in action.option_strings]
-    assert sorted(options) == ["--help", "--s-tolerance", "-h"]
+    assert sorted(options) == ["--help", "-h"]
 
 
 def test_readme_names_every_exported_callable():
